@@ -52,9 +52,9 @@ cond = test.as_null_condition()
 trend = q.null_condition_trend(cond, 8)
 print("\nnormalised ranks:", [round(t, 6) for t in trend.taus], "halving:", trend.halved)
 
-sat_uniform = q.evaluate_satisfaction(uniform, q.block_test_sequence(5).as_null_condition(), 0.1, 5)
+sat_uniform = q.evaluate_failure(uniform, q.block_test_sequence(5).as_null_condition(), 0.1, 5)
 print("uniform sequence: min weight", sat_uniform.min_weight, "-> satisfied:", sat_uniform.satisfied_evidence)
-sat_blocks = q.evaluate_satisfaction(blocks, cond, 0.99, 8)
+sat_blocks = q.evaluate_failure(blocks, cond, 0.99, 8)
 print("block sequence:   min weight", sat_blocks.min_weight, "-> satisfied:", sat_blocks.satisfied_evidence)
 
 print()

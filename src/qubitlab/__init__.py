@@ -55,9 +55,7 @@ from .rtests import (
     build_entropy_deficiency_test,
     build_s_test,
     build_ui_test,
-    evaluate_covering,
     evaluate_failure,
-    evaluate_satisfaction,
     null_condition_trend,
     pad_to_multiple,
     state_weight,

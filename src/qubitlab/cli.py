@@ -38,12 +38,10 @@ from .linalg import (
     validate_density,
 )
 from .rtests import (
-    STest,
     block_test_sequence,
     build_entropy_deficiency_test,
     build_s_test,
     build_ui_test,
-    evaluate_covering,
     evaluate_failure,
     state_weight,
     typical_subspace_decay,
@@ -59,7 +57,6 @@ from .serialize import (
     write_csv,
 )
 from .states import (
-    DensitySpec,
     block_state,
     check_coherence,
     entropy_profile,
@@ -67,9 +64,8 @@ from .states import (
     log_power_density,
     measure_state,
     prng_bits,
-    pure_bitstring_state,
+    state_from_recipe,
     tensor_power_state,
-    tracial_state,
 )
 
 EXIT_OK = 0
@@ -94,35 +90,23 @@ def _parse_builtin(text: str):
     return name.strip(), params
 
 
-def _density_spec(label: str) -> DensitySpec:
-    aliases = {"logpow2": 2.0, "logpow3": 3.0}
-    if label in aliases:
-        return log_power_density(aliases[label])
-    if label.startswith("log-power-"):
-        return log_power_density(float(label.removeprefix("log-power-")))
-    raise ValueError(f"unknown density {label!r} (try logpow2 or logpow3)")
-
-
 def load_state(text: str, default_depth: int = 20):
-    """Resolve --state: 'builtin:name(params)' or a JSON file path."""
-    if text.startswith("builtin:"):
-        name, params = _parse_builtin(text.removeprefix("builtin:"))
-        depth = int(params.get("n", default_depth))
-        if name == "tracial":
-            return tracial_state(depth)
-        if name == "pure":
-            if "bits" in params:
-                return pure_bitstring_state(params["bits"], depth)
-            return pure_bitstring_state(prng_bits(depth, int(params.get("seed", 0))), depth)
-        if name == "block":
-            return block_state(depth)
-        if name in ("tensor-power", "tensor_power"):
-            probs = np.array([float(x) for x in params["probs"].split(":")])
-            return tensor_power_state(DensityOperator.diagonal(probs), depth)
-        if name == "measure":
-            return measure_state(_density_spec(params["density"]), depth)
-        raise ValueError(f"unknown builtin state {name!r}")
-    return state_from_json(json.loads(Path(text).read_text(encoding="utf-8")))
+    """Resolve --state: 'builtin:name(params)' or a JSON file path.
+
+    A builtin is turned into the recipe its JSON file would hold and
+    built from the registry in `states`; `pure` without bits draws them
+    from its seed, and `tensor-power` takes a diagonal factor as probs=p0:p1:...
+    """
+    if not text.startswith("builtin:"):
+        return state_from_json(json.loads(Path(text).read_text(encoding="utf-8")))
+    name, params = _parse_builtin(text.removeprefix("builtin:"))
+    depth = int(params.get("n", default_depth))
+    recipe = {**params, "kind": "tensor_power" if name == "tensor-power" else name}
+    if name == "pure" and "bits" not in params:
+        recipe["bits"] = prng_bits(depth, int(params.get("seed", 0)))
+    if recipe["kind"] == "tensor_power":
+        recipe["factor"] = {"repr": "diag", "data": [float(x) for x in params["probs"].split(":")]}
+    return state_from_recipe(recipe, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +176,7 @@ def cmd_evaluate(args) -> int:
     state = load_state(args.state, args.depth)
     test = projection_test_from_json(json.loads(Path(args.test).read_text(encoding="utf-8")))
     depth = args.terms or (test.seq.m_max if test.seq.terms else 0)
-    if isinstance(test, STest):
-        report = evaluate_covering(state, test, args.delta, depth)
-    else:
-        report = evaluate_failure(state, test, args.delta, depth)
+    report = evaluate_failure(state, test, args.delta, depth)
     taus = [tau_weight(t.projector) for t in test.seq.up_to(depth)]
     experiment = {"cmd": "evaluate", "state": args.state, "delta": args.delta, "terms": depth}
     rows = [
@@ -549,7 +530,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (LinalgError, ValueError, TypeError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (LinalgError, ValueError, TypeError, OSError, KeyError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

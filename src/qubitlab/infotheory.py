@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .dyadic import as_fraction, rank_ceil
-from .linalg import BadDimensionError, qubit_count, shannon_entropy
+from .linalg import BadDimensionError, _finite, qubit_count, shannon_entropy
 from .states import DensitySpec, StateSequence
 
 #: float dust absorbed when deciding whether one more pad step still fits
@@ -36,7 +36,7 @@ MASS_SLACK = 1e-12
 
 
 def _check_descending(alpha: np.ndarray, atol: float = 1e-12) -> np.ndarray:
-    a = np.asarray(alpha, dtype=float)
+    a = _finite(np.asarray(alpha, dtype=float), "probability")
     if a.ndim != 1:
         raise BadDimensionError("expected a 1-D probability vector")
     if a.size > 1 and np.min(a[:-1] - a[1:]) < -atol:
@@ -263,12 +263,15 @@ class UIProfile:
 
 def ui_profile(fam: StepFamily, deltas, depth: int) -> UIProfile:
     deltas = [float(d) for d in deltas]
+    _finite(np.asarray(deltas), "delta")
     if not deltas:
         raise ValueError("empty delta grid")
+    missing = [n for n in range(1, depth + 1) if n not in fam.spectra]
+    if missing:
+        raise ValueError(f"step family lacks depths {missing}")
     sup_by_m = {
         m: max(prefix_integral(fam, n, m) for n in range(m, depth + 1))
         for m in range(1, depth + 1)
-        if any(n in fam.spectra for n in range(m, depth + 1))
     }
     entries = []
     for delta in deltas:

@@ -67,6 +67,20 @@ def qubit_count(dim: int) -> int:
     return n
 
 
+def _finite(a: np.ndarray, what: str, floor: float | None = None, negative=NotPositiveError):
+    """Return ``a`` after the checks every input path shares.
+
+    Any NaN or infinity raises MalformedOperatorError; with a ``floor``, an
+    entry below -floor raises ``negative``.  Sum rules and their
+    tolerances stay with each caller.
+    """
+    if not np.isfinite(a).all():
+        raise MalformedOperatorError(f"non-finite {what}")
+    if floor is not None and a.min(initial=0.0) < -floor:
+        raise negative(f"{what} {a.min()} below -{floor}")
+    return a
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -92,8 +106,7 @@ class DensityOperator:
         n = qubit_count(p.size)
         if n > DIAG_QUBIT_CAP:
             raise DimensionCapError(f"{n} qubits exceeds diagonal cap {DIAG_QUBIT_CAP}")
-        if p.min(initial=0.0) < -atol:
-            raise NotPositiveError(f"probability {p.min()} below -{atol}")
+        _finite(p, "probability", atol)
         total = math.fsum(p.tolist()) if p.size <= 4096 else float(p.sum())
         if abs(total - 1.0) > max(atol, 1e-9) * 10:
             raise WrongTraceError(f"probabilities sum to {total}, not 1")
@@ -165,6 +178,7 @@ class Projection:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise BadDimensionError("projection matrix must be square")
         n = qubit_count(m.shape[0])
+        _finite(m, "projection entry")
         if np.abs(m - m.conj().T).max() > atol:
             raise NonHermitianError("projection is not Hermitian within tolerance")
         if np.abs(m @ m - m).max() > max(atol, 1e-8):
@@ -286,8 +300,7 @@ def partial_trace_k(d: DensityOperator, a: int) -> DensityOperator:
 
 
 def _clean_eigenvalues(w: np.ndarray) -> np.ndarray:
-    if w.min(initial=0.0) < -EIG_CLIP_TOL:
-        raise MalformedOperatorError(f"eigenvalue {w.min()} below -{EIG_CLIP_TOL}")
+    _finite(w, "eigenvalue", EIG_CLIP_TOL, MalformedOperatorError)
     w = np.clip(w, 0.0, 1.0)
     total = float(w.sum())
     if abs(total - 1.0) > EIG_SUM_TOL:
@@ -316,9 +329,7 @@ def eigendecompose(d: DensityOperator) -> Spectrum:
 
 def shannon_entropy(p, *, atol: float = 1e-6) -> float:
     """Entropy in bits of a probability vector, with 0*log(0) = 0."""
-    p = np.asarray(p, dtype=float)
-    if p.min(initial=0.0) < -EIG_CLIP_TOL:
-        raise NotPositiveError(f"probability {p.min()} below -{EIG_CLIP_TOL}")
+    p = _finite(np.asarray(p, dtype=float), "probability", EIG_CLIP_TOL)
     total = float(p.sum())
     if abs(total - 1.0) > atol:
         raise MalformedOperatorError(f"probabilities sum to {total}, not 1")
@@ -413,12 +424,11 @@ def validate_density(matrix: np.ndarray, tol: float) -> DensityOperator:
     n = qubit_count(m.shape[0])
     if n > dense_qubit_cap():
         raise DimensionCapError(f"{n} qubits exceeds dense cap {dense_qubit_cap()}")
+    _finite(m, "matrix entry")
     if np.abs(m - m.conj().T).max() > tol:
         raise NonHermitianError("matrix is not Hermitian within tolerance")
     tr = m.trace().real
     if abs(tr - 1.0) > max(tol, 1e-12):
         raise WrongTraceError(f"trace is {tr}, not 1")
-    w = np.linalg.eigvalsh(m)
-    if w.min() < -max(tol, 1e-12):
-        raise NotPositiveError(f"eigenvalue {w.min()} below -{tol}")
+    _finite(np.linalg.eigvalsh(m), "eigenvalue", max(tol, 1e-12))
     return DensityOperator(qubits=n, matrix=_readonly(m))

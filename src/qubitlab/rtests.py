@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .linalg import (
     tau_weight,
     top_k_projector,
     top_k_sum,
+    _finite,
 )
 from .states import StateSequence, block_checkpoint
 
@@ -117,7 +118,11 @@ class NullCondition:
 
 @dataclass(frozen=True)
 class FailureReport:
-    """Weights rho(S^m) at each evaluated order, and who exceeded delta."""
+    """Weights rho(S^m) at each evaluated order, who exceeded delta, and who dipped below.
+
+    Witnesses above delta are evidence of failing a test; a minimum weight
+    at most delta is evidence of satisfying a null condition.
+    """
 
     delta: float
     depth: int
@@ -135,20 +140,6 @@ class FailureReport:
     @property
     def all_witness(self) -> bool:
         return bool(self.ms) and len(self.witnesses) == len(self.ms)
-
-
-@dataclass(frozen=True)
-class SatisfactionReport:
-    """Evidence that a state's weights dip below delta along a null condition."""
-
-    delta: float
-    depth: int
-    ms: tuple[int, ...]
-    weights: tuple[float, ...]
-
-    @property
-    def min_weight(self) -> float:
-        return min(self.weights) if self.weights else math.inf
 
     @property
     def argmin_m(self) -> int | None:
@@ -267,38 +258,25 @@ def state_weight(state: StateSequence, n: int, g: Projection) -> float:
     return projection_weight(state.density(n), g)
 
 
-def _evaluate(state: StateSequence, seq: ProjectionSequence, depth: int):
+def evaluate_failure(
+    state: StateSequence, test: QSTest | STest | NullCondition, delta: float, depth: int
+) -> FailureReport:
+    """Weight table of the state against a test, s-test or null condition.
+
+    The same table reads both ways: witnesses above delta for a test,
+    ``satisfied_evidence`` (minimum weight at most delta) for a null
+    condition.
+    """
+    delta = float(_finite(np.asarray(delta, dtype=float), "delta"))
     ms, weights = [], []
-    for t in seq.up_to(depth):
+    for t in test.seq.up_to(depth):
         if t.qubits > state.max_depth:
             raise BadDimensionError(
                 f"term m={t.m} needs depth {t.qubits}, state stops at {state.max_depth}"
             )
         ms.append(t.m)
         weights.append(state_weight(state, t.qubits, t.projector))
-    return tuple(ms), tuple(weights)
-
-
-def evaluate_failure(
-    state: StateSequence, test: QSTest | NullCondition, delta: float, depth: int
-) -> FailureReport:
-    """Weight table of the state against the test, with witnesses above delta."""
-    ms, weights = _evaluate(state, test.seq, depth)
-    return FailureReport(delta=float(delta), depth=depth, ms=ms, weights=weights)
-
-
-def evaluate_covering(state: StateSequence, test: STest, delta: float, depth: int) -> FailureReport:
-    """Witness table for an s-weighted test; same semantics as evaluate_failure."""
-    ms, weights = _evaluate(state, test.seq, depth)
-    return FailureReport(delta=float(delta), depth=depth, ms=ms, weights=weights)
-
-
-def evaluate_satisfaction(
-    state: StateSequence, cond: NullCondition, delta: float, depth: int
-) -> SatisfactionReport:
-    """Minimum weight along a null condition: evidence of satisfaction."""
-    ms, weights = _evaluate(state, cond.seq, depth)
-    return SatisfactionReport(delta=float(delta), depth=depth, ms=ms, weights=weights)
+    return FailureReport(delta=delta, depth=depth, ms=tuple(ms), weights=tuple(weights))
 
 
 def validate_qstest(test: QSTest, depth: int) -> ValidationReport:
@@ -347,15 +325,50 @@ def null_condition_trend(cond: NullCondition, depth: int) -> TrendReport:
 # builders
 
 
-def _spectra_cache(state: StateSequence):
-    cache: dict[int, np.ndarray] = {}
+def _scan(
+    state: StateSequence,
+    delta,
+    terms: int,
+    depth_cap: int,
+    rank_at: Callable[[int, int], int | None],
+    certified: Callable[[int, int, int], bool],
+    what: str,
+) -> BuildOutcome:
+    """The one depth scan behind every builder.
 
-    def spectrum(n: int) -> np.ndarray:
-        if n not in cache:
-            cache[n] = state.spectrum(n)
-        return cache[n]
-
-    return spectrum
+    For each order m the depth n climbs strictly above the previous term's
+    depth; the first n with an admissible rank k = rank_at(n, m) (None
+    when inadmissible) and top-k mass above delta emits the top-k
+    eigenprojector of level n, which must pass certified(m, n, rank).
+    Orders with no such depth up to the cap are reported as exhausted.
+    """
+    delta = float(as_fraction(delta))
+    depth_cap = min(depth_cap, state.max_depth)
+    spectra: dict[int, np.ndarray] = {}
+    built: list[TestTerm] = []
+    exhausted: list[int] = []
+    next_n = 1
+    for m in range(1, terms + 1):
+        for n in range(next_n, depth_cap + 1):
+            k = rank_at(n, m)
+            if k is None:
+                continue
+            if n not in spectra:
+                spectra[n] = state.spectrum(n)
+            if top_k_sum(spectra[n], k) > delta:
+                break
+        else:
+            exhausted.append(m)
+            continue
+        proj = top_k_projector(eigendecompose(state.density(n)), k)
+        if not certified(m, n, proj.rank):
+            raise CertificateError(f"order {m}: {what} at depth {n}")
+        built.append(TestTerm(m=m, qubits=n, projector=proj))
+        next_n = n + 1
+    test = QSTest(seq=ProjectionSequence(terms=tuple(built)), budget="geometric")
+    return BuildOutcome(
+        test=test, exhausted=tuple(exhausted), requested_terms=terms, depth_cap=depth_cap
+    )
 
 
 def build_entropy_deficiency_test(
@@ -376,40 +389,19 @@ def build_entropy_deficiency_test(
     theta = as_fraction(theta)
     if not 0 < theta < 1:
         raise ValueError("theta must lie strictly between 0 and 1")
-    delta = float(as_fraction(delta))
-    depth_cap = min(depth_cap, state.max_depth)
-    spectrum = _spectra_cache(state)
-    built: list[TestTerm] = []
-    exhausted: list[int] = []
-    next_n = 1
-    for m in range(1, terms + 1):
-        found = None
-        for n in range(next_n, depth_cap + 1):
-            k = rank_ceil(n, theta)
-            if k > (1 << n):
-                continue
-            # admissibility: (2^(n theta) + 1) < 2^(n-m), exactly
-            if n <= m:
-                continue
-            lhs = 1 << (n * theta.numerator)
-            rhs = ((1 << (n - m)) - 1) ** theta.denominator
-            if lhs >= rhs:
-                continue
-            if top_k_sum(spectrum(n), k) > delta:
-                found = (n, k)
-                break
-        if found is None:
-            exhausted.append(m)
-            continue
-        n, k = found
-        proj = top_k_projector(eigendecompose(state.density(n)), k)
-        if (proj.rank << m) >= (1 << n):
-            raise CertificateError(f"order {m}: rank bound violated at depth {n}")
-        built.append(TestTerm(m=m, qubits=n, projector=proj))
-        next_n = n + 1
-    test = QSTest(seq=ProjectionSequence(terms=tuple(built)), budget="geometric")
-    return BuildOutcome(
-        test=test, exhausted=tuple(exhausted), requested_terms=terms, depth_cap=depth_cap
+
+    def rank_at(n: int, m: int) -> int | None:
+        k = rank_ceil(n, theta)
+        # admissibility: (2^(n theta) + 1) < 2^(n-m), exactly
+        if k > (1 << n) or n <= m:
+            return None
+        lhs = 1 << (n * theta.numerator)
+        rhs = ((1 << (n - m)) - 1) ** theta.denominator
+        return k if lhs < rhs else None
+
+    return _scan(
+        state, delta, terms, depth_cap, rank_at,
+        lambda m, n, rank: (rank << m) < (1 << n), "rank bound violated",
     )
 
 
@@ -431,44 +423,23 @@ def build_s_test(
     t = as_fraction(t)
     if not 0 <= t < s <= 1:
         raise ValueError("need 0 <= t < s <= 1")
-    delta = float(as_fraction(delta))
-    depth_cap = min(depth_cap, state.max_depth)
-    spectrum = _spectra_cache(state)
-    built: list[TestTerm] = []
-    exhausted: list[int] = []
-    weights: list[float] = []
-    next_n = 1
-    for m in range(1, terms + 1):
-        found = None
-        for n in range(next_n, depth_cap + 1):
-            k = rank_ceil(n, t) if t > 0 else 1
-            if k > (1 << n):
-                continue
-            expo = n * s.numerator - m * s.denominator
-            if expo <= 0 or (k + 1) ** s.denominator >= (1 << expo):
-                continue
-            if top_k_sum(spectrum(n), k) > delta:
-                found = (n, k)
-                break
-        if found is None:
-            exhausted.append(m)
-            continue
-        n, k = found
-        proj = top_k_projector(eigendecompose(state.density(n)), k)
+
+    def rank_at(n: int, m: int) -> int | None:
+        k = rank_ceil(n, t) if t > 0 else 1
         expo = n * s.numerator - m * s.denominator
-        if expo <= 0 or proj.rank**s.denominator >= (1 << expo):
-            raise CertificateError(f"order {m}: weight bound violated at depth {n}")
-        built.append(TestTerm(m=m, qubits=n, projector=proj))
-        weights.append(proj.rank * 2.0 ** (-n * float(s)))
-        next_n = n + 1
-    test = STest(
-        s=float(s),
-        seq=ProjectionSequence(terms=tuple(built)),
-        weight_partial_sums=tuple(np.cumsum(weights).tolist()),
-    )
-    return BuildOutcome(
-        test=test, exhausted=tuple(exhausted), requested_terms=terms, depth_cap=depth_cap
-    )
+        if k > (1 << n) or expo <= 0 or (k + 1) ** s.denominator >= (1 << expo):
+            return None
+        return k
+
+    def certified(m: int, n: int, rank: int) -> bool:
+        expo = n * s.numerator - m * s.denominator
+        return expo > 0 and rank**s.denominator < (1 << expo)
+
+    out = _scan(state, delta, terms, depth_cap, rank_at, certified, "weight bound violated")
+    seq = out.test.seq
+    weights = [term.projector.rank * 2.0 ** (-term.qubits * float(s)) for term in seq.terms]
+    test = STest(s=float(s), seq=seq, weight_partial_sums=tuple(np.cumsum(weights).tolist()))
+    return replace(out, test=test)
 
 
 def build_ui_test(
@@ -483,31 +454,10 @@ def build_ui_test(
     no slack.  Exhaustion of an order is finite-depth evidence that the
     spectra integrate uniformly at that scale.
     """
-    delta = float(as_fraction(delta))
-    depth_cap = min(depth_cap, state.max_depth)
-    spectrum = _spectra_cache(state)
-    built: list[TestTerm] = []
-    exhausted: list[int] = []
-    next_j = 1
-    for m in range(1, terms + 1):
-        found = None
-        for j in range(max(m, next_j), depth_cap + 1):
-            k = 1 << (j - m)
-            if top_k_sum(spectrum(j), k) > delta:
-                found = (j, k)
-                break
-        if found is None:
-            exhausted.append(m)
-            continue
-        j, k = found
-        proj = top_k_projector(eigendecompose(state.density(j)), k)
-        if (proj.rank << m) != (1 << j):
-            raise CertificateError(f"order {m}: rank is not exactly 2^(j-m)")
-        built.append(TestTerm(m=m, qubits=j, projector=proj))
-        next_j = j + 1
-    test = QSTest(seq=ProjectionSequence(terms=tuple(built)), budget="geometric")
-    return BuildOutcome(
-        test=test, exhausted=tuple(exhausted), requested_terms=terms, depth_cap=depth_cap
+    return _scan(
+        state, delta, terms, depth_cap,
+        lambda j, m: 1 << (j - m) if j >= m else None,
+        lambda m, j, rank: (rank << m) == (1 << j), "rank is not exactly 2^(j-m)",
     )
 
 

@@ -17,16 +17,7 @@ import numpy as np
 
 from .linalg import Projection, matrix_from_json, matrix_to_json
 from .rtests import NullCondition, ProjectionSequence, QSTest, STest, TestTerm
-from .states import (
-    StateSequence,
-    block_state,
-    explicit_state,
-    log_power_density,
-    measure_state,
-    pure_bitstring_state,
-    tensor_power_state,
-    tracial_state,
-)
+from .states import StateSequence, explicit_state, state_from_recipe
 
 
 def format_real(x: float) -> str:
@@ -71,30 +62,12 @@ def state_to_json(state: StateSequence) -> dict:
     return out
 
 
-def _density_by_name(label: str):
-    if label.startswith("log-power-"):
-        return log_power_density(float(label.removeprefix("log-power-")))
-    raise ValueError(f"unknown builtin density {label!r}")
-
-
 def state_from_json(obj: dict) -> StateSequence:
     if "per_n" in obj:
         levels = [matrix_from_json(m) for m in obj["per_n"]]
         return explicit_state(obj.get("name", "explicit"), levels)
     spec = obj["constructor"]
-    kind = spec["kind"]
-    n_max = int(spec.get("n_max", obj.get("n_max")))
-    if kind == "tracial":
-        return tracial_state(n_max)
-    if kind == "pure":
-        return pure_bitstring_state(spec["bits"], n_max)
-    if kind == "block":
-        return block_state(n_max)
-    if kind == "tensor_power":
-        return tensor_power_state(matrix_from_json(spec["factor"]), n_max)
-    if kind == "measure":
-        return measure_state(_density_by_name(spec["density"]), n_max)
-    raise ValueError(f"unknown state constructor {kind!r}")
+    return state_from_recipe(spec, int(spec.get("n_max", obj.get("n_max"))))
 
 
 # ---------------------------------------------------------------------------

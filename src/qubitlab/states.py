@@ -15,6 +15,7 @@ far beyond anything a materialised 2^n vector could.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
@@ -30,6 +31,7 @@ from .linalg import (
     WrongTraceError,
     dense_qubit_cap,
     eigendecompose,
+    matrix_from_json,
     matrix_to_json,
     partial_trace_k,
     shannon_entropy,
@@ -49,14 +51,15 @@ class StateSequence:
     ``generator`` must be deterministic and total on 1..max_depth (up to
     representation caps).  ``factors``, when given, maps n to the list of
     diagonal kron factors of level n; factored levels are exact at any
-    depth.  Access is thread-safe.
+    depth, and without a generator level n is materialised as the kron of
+    its factors (up to the diagonal cap).  Access is thread-safe.
     """
 
     def __init__(
         self,
         name: str,
         max_depth: int,
-        generator: Callable[[int], DensityOperator],
+        generator: Callable[[int], DensityOperator] | None = None,
         *,
         representation: str = "dense",
         factors: Callable[[int], list[np.ndarray]] | None = None,
@@ -84,10 +87,18 @@ class StateSequence:
             hit = self._cache.get(n)
         if hit is not None:
             return hit
-        d = self._generator(n)
+        d = self._generator(n) if self._generator is not None else self._kron_factors(n)
         with self._lock:
             self._cache.setdefault(n, d)
         return d
+
+    def _kron_factors(self, n: int) -> DensityOperator:
+        if n > DIAG_QUBIT_CAP:
+            raise DimensionCapError(f"cannot materialise {n} qubits")
+        out = np.array([1.0])
+        for f in self._factors(n):
+            out = np.kron(out, f)
+        return DensityOperator.diagonal(out)
 
     @property
     def has_factors(self) -> bool:
@@ -353,19 +364,9 @@ def block_state(max_depth: int) -> StateSequence:
     blocks, so the per-qubit entropy climbs toward 1 while every checkpoint
     level sits entirely inside an exponentially thin basis subset.
     """
-
-    def gen(n: int) -> DensityOperator:
-        if n > DIAG_QUBIT_CAP:
-            raise DimensionCapError(f"cannot materialise {n} qubits")
-        out = np.array([1.0])
-        for f in _block_factors(n):
-            out = np.kron(out, f)
-        return DensityOperator.diagonal(out)
-
     return StateSequence(
         "block",
         max_depth,
-        gen,
         representation="diag",
         factors=_block_factors,
         spec={"kind": "block", "n_max": max_depth},
@@ -377,51 +378,31 @@ def tensor_power_state(
 ) -> StateSequence:
     """Independent copies of a fixed k-qubit operator, traced to every depth."""
     k = d.qubits
+    label = name or f"power:{k}q"
+    spec = {"kind": "tensor_power", "n_max": max_depth, "factor": matrix_to_json(d)}
     if d.is_diagonal:
         base = d.probs.astype(float)
 
         def facs(n: int) -> list[np.ndarray]:
             q, r = divmod(n, k)
-            out = [base] * q
-            if r:
-                out.append(_pt_diag(base, k - r))
-            return out
+            return [base] * q + ([_pt_diag(base, k - r)] if r else [])
 
-        def gen(n: int) -> DensityOperator:
-            if n > DIAG_QUBIT_CAP:
-                raise DimensionCapError(f"cannot materialise {n} qubits")
-            out = np.array([1.0])
-            for f in facs(n):
-                out = np.kron(out, f)
-            return DensityOperator.diagonal(out)
+        return StateSequence(label, max_depth, representation="diag", factors=facs, spec=spec)
+    top = -(-max_depth // k) * k
+    if top > dense_qubit_cap():
+        raise DimensionCapError(
+            f"depth {max_depth} needs {top} dense qubits, cap is {dense_qubit_cap()}"
+        )
 
-        factors: Callable[[int], list[np.ndarray]] | None = facs
-        representation = "diag"
-    else:
-        top = -(-max_depth // k) * k
-        if top > dense_qubit_cap():
-            raise DimensionCapError(
-                f"depth {max_depth} needs {top} dense qubits, cap is {dense_qubit_cap()}"
-            )
+    def gen(n: int) -> DensityOperator:
+        q, r = divmod(n, k)
+        copies = q + (1 if r else 0)
+        full = d
+        for _ in range(copies - 1):
+            full = tensor(full, d)
+        return partial_trace_k(full, copies * k - n)
 
-        def gen(n: int) -> DensityOperator:
-            q, r = divmod(n, k)
-            copies = q + (1 if r else 0)
-            full = d
-            for _ in range(copies - 1):
-                full = tensor(full, d)
-            return partial_trace_k(full, copies * k - n)
-
-        factors = None
-        representation = "dense"
-    return StateSequence(
-        name or f"power:{k}q",
-        max_depth,
-        gen,
-        representation=representation,
-        factors=factors,
-        spec={"kind": "tensor_power", "n_max": max_depth, "factor": matrix_to_json(d)},
-    )
+    return StateSequence(label, max_depth, gen, spec=spec)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +429,8 @@ class DensitySpec:
 
     def __post_init__(self):
         total = self.total_mass()
-        if abs(total - 1.0) > max(self.norm_tol, 100 * self.quad_tol):
+        # written so that a NaN total fails too
+        if not abs(total - 1.0) <= max(self.norm_tol, 100 * self.quad_tol):
             raise WrongTraceError(f"density integrates to {total}, not 1")
 
     def total_mass(self) -> float:
@@ -494,8 +476,10 @@ def log_power_density(p: float) -> DensitySpec:
     constant of the maximum, while p = 2 drifts away from the maximum
     without bound.
     """
-    if p <= 1:
+    if not p > 1:
         raise ValueError("need p > 1 for an integrable density")
+    if math.isinf(p):
+        raise ValueError("need a finite p")
 
     def f(x):
         x = np.asarray(x, dtype=float)
@@ -541,3 +525,33 @@ def measure_state(spec, max_depth: int, *, name: str | None = None) -> StateSequ
     else:
         raise TypeError("spec must be a DensitySpec or a cylinder-mass callable")
     return StateSequence(label, max_depth, gen, representation="diag", spec=replay)
+
+
+# ---------------------------------------------------------------------------
+# registry: one table of recipe kinds, shared by CLI strings and JSON files
+
+
+def density_by_name(label: str) -> DensitySpec:
+    """A named density: ``log-power-<p>``, or the aliases ``logpow2`` and ``logpow3``."""
+    label = {"logpow2": "log-power-2", "logpow3": "log-power-3"}.get(label, label)
+    if label.startswith("log-power-"):
+        return log_power_density(float(label.removeprefix("log-power-")))
+    raise ValueError(f"unknown density {label!r} (try logpow2 or logpow3)")
+
+
+#: recipe kind -> constructor(recipe, n_max)
+STATE_KINDS: dict[str, Callable[[dict, int], StateSequence]] = {
+    "tracial": lambda r, n: tracial_state(n),
+    "pure": lambda r, n: pure_bitstring_state(r["bits"], n),
+    "block": lambda r, n: block_state(n),
+    "tensor_power": lambda r, n: tensor_power_state(matrix_from_json(r["factor"]), n),
+    "measure": lambda r, n: measure_state(density_by_name(r["density"]), n),
+}
+
+
+def state_from_recipe(recipe: dict, n_max: int) -> StateSequence:
+    """Rebuild a sequence from its constructor recipe (the ``spec`` it records)."""
+    kind = recipe["kind"]
+    if kind not in STATE_KINDS:
+        raise ValueError(f"unknown builtin state {kind!r}")
+    return STATE_KINDS[kind](recipe, n_max)

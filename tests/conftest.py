@@ -137,3 +137,71 @@ def log_power_gap_oracle(p: float, n: int, refine: int = 16) -> float:
         mass = -(u_right**c) * np.expm1(c * np.log1p(np.log1p(1.0 / (k + i)) / u_right))
         h += float(-(mass * np.log2(mass)).sum() + mass.sum() * (cells - kept))
     return h - n
+
+
+def _pow2_ceil_oracle(num: int, den: int) -> int:
+    """ceil(2^(num/den)) in integer arithmetic: the smallest r with r^den >= 2^num."""
+    bound = 1 << num
+    r = max(1, int(2.0 ** (num / den)))
+    while r**den < bound:
+        r += 1
+    while r > 1 and (r - 1) ** den >= bound:
+        r -= 1
+    return r
+
+
+def builder_plan_oracle(state, kind: str, rates, delta: Fraction, terms: int, depth_cap: int):
+    """The (m, n_m, rank) terms and exhausted orders a builder must produce.
+
+    Written from the builder docstrings with numpy and integers only.  For
+    each order m the scan climbs depth n strictly above the previous
+    term's depth and takes the first n whose rank k is admissible and
+    whose top-k eigenvalue mass (numpy ``eigvalsh``, sorted prefix sums)
+    exceeds delta:
+
+    * ``deficiency`` (theta = p/q): k = ceil(2^(n theta)), admissible when
+      (2^(n theta) + 1) / 2^n < 2^-m, i.e. 2^(n p) < (2^(n-m) - 1)^q, n > m;
+    * ``s`` (s, t): k = ceil(2^(n t)), admissible when
+      (k + 1) < 2^(n s - m), i.e. (k + 1)^q_s < 2^(n p_s - m q_s);
+    * ``ui``: k = 2^(n-m), admissible when n >= m.
+
+    Also returns the smallest |top-k mass - delta| over every mass test
+    made, so callers can assert that no comparison sits on a rounding edge.
+    """
+    cap = min(depth_cap, state.max_depth)
+    delta = float(delta)
+
+    def rank_at(n: int, m: int):
+        if kind == "deficiency":
+            (theta,) = rates
+            if n <= m or (1 << (n * theta.numerator)) >= ((1 << (n - m)) - 1) ** theta.denominator:
+                return None
+            return _pow2_ceil_oracle(n * theta.numerator, theta.denominator)
+        if kind == "s":
+            s, t = rates
+            k = _pow2_ceil_oracle(n * t.numerator, t.denominator)
+            expo = n * s.numerator - m * s.denominator
+            return k if expo > 0 and (k + 1) ** s.denominator < (1 << expo) else None
+        return 1 << (n - m) if n >= m else None
+
+    prefix = {}
+    plan, exhausted, margin = [], [], math.inf
+    next_n = 1
+    for m in range(1, terms + 1):
+        for n in range(next_n, cap + 1):
+            k = rank_at(n, m)
+            if k is None:
+                continue
+            if n not in prefix:
+                d = state.density(n)
+                w = d.probs if d.is_diagonal else np.linalg.eigvalsh(d.matrix)
+                prefix[n] = np.cumsum(np.sort(w)[::-1])
+            mass = float(prefix[n][k - 1])
+            margin = min(margin, abs(mass - delta))
+            if mass > delta:
+                plan.append((m, n, k))
+                next_n = n + 1
+                break
+        else:
+            exhausted.append(m)
+    return plan, tuple(exhausted), margin

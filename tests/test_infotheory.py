@@ -281,6 +281,16 @@ def test_ui_profile_moduli_monotone_in_delta():
     assert moduli == sorted(moduli)
 
 
+def test_ui_profile_rejects_depth_beyond_family():
+    fam = q.step_family(q.tracial_state(5), 5)
+    with pytest.raises(ValueError, match=r"lacks depths \[6\]"):
+        q.ui_profile(fam, [0.5], 6)
+    partial = q.StepFamily(spectra={n: fam.member(n) for n in (3, 4, 5)})
+    with pytest.raises(ValueError, match=r"lacks depths \[1, 2\]"):
+        q.ui_profile(partial, [0.5], 5)
+    assert q.ui_profile(fam, [0.5], 4).entries[0].modulus == 1  # shallower depths still fine
+
+
 # --- entropy gaps ------------------------------------------------------------------------------
 
 

@@ -7,7 +7,7 @@ import pytest
 import qubitlab as q
 from qubitlab.linalg import BadDimensionError
 
-from conftest import binomial_top_sum_oracle, random_density_oracle
+from conftest import binomial_top_sum_oracle, builder_plan_oracle, random_density_oracle
 
 
 def uniform_top_sum(n: int, k: int) -> Fraction:
@@ -212,7 +212,7 @@ def test_s_test_builder_on_pure_state():
         expo = term.qubits * s.numerator - term.m * s.denominator
         assert term.projector.rank ** s.denominator < 2**expo
     assert out.test.weight_partial_sums[-1] < 1.0
-    report = q.evaluate_covering(z, out.test, 0.5, 8)
+    report = q.evaluate_failure(z, out.test, 0.5, 8)
     assert report.all_witness
 
 
@@ -254,7 +254,7 @@ def test_covering_empty_for_tracial_at_large_delta():
     z = q.pure_bitstring_state(q.prng_bits(24, 9), 24)
     out = q.build_s_test(z, "1/2", "1/10", "1/2", 4, 24)
     taus = [q.tau_weight(term.projector) for term in out.test.seq.terms]
-    report = q.evaluate_covering(t, out.test, max(taus), 4)
+    report = q.evaluate_failure(t, out.test, max(taus), 4)
     assert report.witnesses == ()
 
 
@@ -291,6 +291,34 @@ def test_ui_builder_block_state_certificates():
         assert q.state_weight(b, term.qubits, term.projector) == pytest.approx(1.0, abs=1e-12)
 
 
+# --- builder plans against the oracle ------------------------------------------------------
+
+BUILDERS = {  # kind: (build at delta d, the oracle's rates)
+    "deficiency": (
+        lambda st, d: q.build_entropy_deficiency_test(st, "1/2", d, 6, 10),
+        (Fraction(1, 2),),
+    ),
+    "s": (
+        lambda st, d: q.build_s_test(st, "9/10", "1/2", d, 6, 10),
+        (Fraction(9, 10), Fraction(1, 2)),
+    ),
+    "ui": (lambda st, d: q.build_ui_test(st, d, 6, 10), ()),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+@pytest.mark.parametrize("delta", ["1/10", "3/10", "19/20"])
+def test_builder_plans_match_oracle(fixture_states, kind, delta):
+    # dense levels (power-dense) take the eigenvector-projector path
+    build, rates = BUILDERS[kind]
+    for name, state in fixture_states.items():
+        plan, exhausted, margin = builder_plan_oracle(state, kind, rates, Fraction(delta), 6, 10)
+        assert margin > 1e-9, name  # no mass test sits on a rounding edge
+        out = build(state, delta)
+        assert [(t.m, t.qubits, t.projector.rank) for t in out.test.seq.terms] == plan, name
+        assert out.exhausted == exhausted, name
+
+
 # --- null conditions ----------------------------------------------------------------------
 
 
@@ -318,11 +346,11 @@ def test_witness_subsequence_forms_null_condition():
 def test_satisfaction_check_tracial_vs_block_state():
     cond = q.block_test_sequence(6).as_null_condition()
     t = q.tracial_state(44)
-    rep = q.evaluate_satisfaction(t, cond, 0.1, 6)
+    rep = q.evaluate_failure(t, cond, 0.1, 6)
     assert rep.min_weight == pytest.approx(2.0**-6)
     assert rep.satisfied_evidence
     b = q.block_state(44)
-    rep2 = q.evaluate_satisfaction(b, cond, 0.99, 6)
+    rep2 = q.evaluate_failure(b, cond, 0.99, 6)
     assert rep2.min_weight == pytest.approx(1.0, abs=1e-12)
     assert not rep2.satisfied_evidence
 
@@ -332,7 +360,7 @@ def test_satisfaction_check_measure_state_dips():
     spec = q.log_power_density(2)
     s = q.measure_state(spec, 20)
     cond = q.block_test_sequence(5).as_null_condition()
-    rep = q.evaluate_satisfaction(s, cond, 0.5, 5)
+    rep = q.evaluate_failure(s, cond, 0.5, 5)
     fam = q.step_family(s, 20)
     for term, w in zip(cond.seq.terms, rep.weights):
         assert w <= q.prefix_integral(fam, term.qubits, term.m) + 1e-12

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import qubitlab as q
+from qubitlab.cli import load_state
+from qubitlab.states import STATE_KINDS
 from qubitlab.serialize import (
     format_real,
     matrix_from_json,
@@ -50,6 +52,37 @@ def test_state_constructor_replay(make):
     assert replayed.max_depth == state.max_depth
     for n in (1, 4, 8):
         assert np.allclose(replayed.density(n).probs, state.density(n).probs, atol=1e-15)
+
+
+# one builtin per registry kind; a kind missing here fails the coverage check below
+BUILTINS = {
+    "tracial": "builtin:tracial(n=8)",
+    "pure": "builtin:pure(seed=4,n=8)",
+    "block": "builtin:block(n=8)",
+    "tensor_power": "builtin:tensor-power(probs=0.6:0.3:0.1:0,n=8)",
+    "measure": "builtin:measure(density=logpow3,n=8)",
+}
+
+
+def test_registry_builtins_cover_every_kind():
+    assert set(BUILTINS) == set(STATE_KINDS)
+
+
+@pytest.mark.parametrize("kind", sorted(STATE_KINDS))
+def test_registry_cli_and_json_paths_agree(kind):
+    state = load_state(BUILTINS[kind])
+    obj = state_to_json(state)
+    assert obj["constructor"]["kind"] == kind
+    replayed = state_from_json(obj)
+    for n in (1, 4, 8):
+        assert np.array_equal(replayed.density(n).probs, state.density(n).probs)
+
+
+def test_registry_rejects_unknown_kind():
+    with pytest.raises(ValueError):
+        load_state("builtin:nope(n=4)")
+    with pytest.raises(ValueError):
+        state_from_json({"name": "x", "n_max": 4, "constructor": {"kind": "nope", "n_max": 4}})
 
 
 def test_custom_density_state_falls_back_to_per_level_dump():
