@@ -14,7 +14,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import quad
 
 from .infotheory import (
     check_entropy_lower_bound,
@@ -232,6 +231,8 @@ def log_power_entropy_integral(p: float) -> float:
         # log2 f(x(u)) expanded so nothing overflows for large u
         return (c / u**p) * (math.log2(c) + (u - 1.0) * log2e - p * np.log2(u))
 
+    from scipy.integrate import quad
+
     val, _ = quad(g, 1.0, np.inf, limit=500)
     return -val
 
@@ -365,12 +366,13 @@ def _reproduce_svd_bound(outdir: Path, seed: int):
         k = int(rng.integers(1, dim + 1))
         g = _haar_projection(rng, qubits, k)
         weight = projection_weight(d, g)
-        cap = top_k_sum(eigendecompose(d), k)
+        spec = eigendecompose(d)
+        cap = top_k_sum(spec, k)
         slack = weight - cap
         worst_slack = max(worst_slack, slack)
         if slack > 1e-9:
             violations += 1
-        eig_proj = top_k_projector(eigendecompose(d), k)
+        eig_proj = top_k_projector(spec, k)
         eq_err = abs(projection_weight(d, eig_proj) - cap)
         worst_eq = max(worst_eq, eq_err)
         if trial < 100:

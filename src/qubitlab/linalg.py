@@ -81,6 +81,22 @@ def _finite(a: np.ndarray, what: str, floor: float | None = None, negative=NotPo
     return a
 
 
+def _index_set(indices, qubits: int, what: str) -> np.ndarray:
+    """Sorted distinct basis indices of a ``qubits``-qubit register.
+
+    NaN, infinite or fractional entries raise MalformedOperatorError and
+    out-of-range ones BadDimensionError, both before the int64 cast.
+    """
+    a = np.asarray(indices)
+    if a.dtype.kind not in "iu":
+        a = _finite(a.astype(float), what)
+        if (a != np.floor(a)).any():
+            raise MalformedOperatorError(f"non-integral {what}")
+    if a.size and (a.min() < 0 or a.max() >= (1 << qubits)):
+        raise BadDimensionError(f"{what} out of range")
+    return np.unique(a.astype(np.int64))
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -190,9 +206,7 @@ class Projection:
 
     @classmethod
     def from_basis(cls, qubits: int, indices) -> "Projection":
-        idx = np.unique(np.asarray(indices, dtype=np.int64))
-        if idx.size and (idx[0] < 0 or idx[-1] >= (1 << qubits)):
-            raise BadDimensionError("basis index out of range")
+        idx = _index_set(indices, qubits, "basis index")
         return cls(qubits=qubits, basis_indices=_readonly(idx))
 
     @classmethod
@@ -200,8 +214,8 @@ class Projection:
         fs = []
         total = 0
         for q, idx in factors:
-            arr = np.unique(np.asarray(idx, dtype=np.int64))
-            if arr.size == 0 or arr[0] < 0 or arr[-1] >= (1 << q):
+            arr = _index_set(idx, q, "factor index")
+            if arr.size == 0:
                 raise BadDimensionError("factor index out of range")
             fs.append((int(q), _readonly(arr)))
             total += int(q)
@@ -337,9 +351,12 @@ def shannon_entropy(p, *, atol: float = 1e-6) -> float:
     return float(-(pp * np.log2(pp)).sum())
 
 
-def von_neumann_entropy(d: DensityOperator) -> float:
-    """Entropy in bits of the eigenvalue distribution; 0 <= H <= qubits."""
-    w = eigendecompose(d).eigenvalues
+def von_neumann_entropy(d: DensityOperator | Spectrum) -> float:
+    """Entropy in bits of the eigenvalue distribution; 0 <= H <= qubits.
+
+    Takes an operator, or its spectrum when that is already at hand.
+    """
+    w = (d if isinstance(d, Spectrum) else eigendecompose(d)).eigenvalues
     pp = w[w > 0.0]
     return float(-(pp * np.log2(pp)).sum())
 

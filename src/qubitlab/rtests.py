@@ -28,7 +28,6 @@ from .linalg import (
     DensityOperator,
     DimensionCapError,
     Projection,
-    eigendecompose,
     projection_weight,
     tau_weight,
     top_k_projector,
@@ -340,11 +339,11 @@ def _scan(
     depth; the first n with an admissible rank k = rank_at(n, m) (None
     when inadmissible) and top-k mass above delta emits the top-k
     eigenprojector of level n, which must pass certified(m, n, rank).
+    Spectra come from the state's memo, so no level is decomposed twice.
     Orders with no such depth up to the cap are reported as exhausted.
     """
     delta = float(as_fraction(delta))
     depth_cap = min(depth_cap, state.max_depth)
-    spectra: dict[int, np.ndarray] = {}
     built: list[TestTerm] = []
     exhausted: list[int] = []
     next_n = 1
@@ -353,14 +352,12 @@ def _scan(
             k = rank_at(n, m)
             if k is None:
                 continue
-            if n not in spectra:
-                spectra[n] = state.spectrum(n)
-            if top_k_sum(spectra[n], k) > delta:
+            if top_k_sum(state.eigensystem(n), k) > delta:
                 break
         else:
             exhausted.append(m)
             continue
-        proj = top_k_projector(eigendecompose(state.density(n)), k)
+        proj = top_k_projector(state.eigensystem(n), k)
         if not certified(m, n, proj.rank):
             raise CertificateError(f"order {m}: {what} at depth {n}")
         built.append(TestTerm(m=m, qubits=n, projector=proj))

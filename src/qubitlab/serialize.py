@@ -95,10 +95,10 @@ def projection_to_json(g: Projection) -> dict:
 def projection_from_json(obj: dict) -> Projection:
     kind = obj["kind"]
     if kind == "basis":
-        return Projection.from_basis(obj["qubits"], np.asarray(obj["indices"], dtype=np.int64))
+        return Projection.from_basis(obj["qubits"], obj["indices"])
     if kind == "product":
         return Projection.from_factors(
-            [(f["qubits"], np.asarray(f["indices"], dtype=np.int64)) for f in obj["factors"]]
+            [(f["qubits"], f["indices"]) for f in obj["factors"]]
         )
     if kind == "dense":
         data = np.asarray(obj["matrix"], dtype=float)

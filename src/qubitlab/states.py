@@ -21,13 +21,13 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .linalg import (
     DIAG_QUBIT_CAP,
     BadDimensionError,
     DensityOperator,
     DimensionCapError,
+    Spectrum,
     WrongTraceError,
     dense_qubit_cap,
     eigendecompose,
@@ -52,7 +52,10 @@ class StateSequence:
     representation caps).  ``factors``, when given, maps n to the list of
     diagonal kron factors of level n; factored levels are exact at any
     depth, and without a generator level n is materialised as the kron of
-    its factors (up to the diagonal cap).  Access is thread-safe.
+    its factors (up to the diagonal cap).  Levels and their spectra are
+    memoised side by side, so each level is decomposed at most once; a
+    dense level's eigenvectors then live as long as the sequence.  Access
+    is thread-safe.
     """
 
     def __init__(
@@ -72,6 +75,7 @@ class StateSequence:
         self._generator = generator
         self._factors = factors
         self._cache: dict[int, DensityOperator] = {}
+        self._spectra: dict[int, Spectrum] = {}
         self._lock = threading.Lock()
 
     def __repr__(self) -> str:
@@ -110,16 +114,26 @@ class StateSequence:
             raise BadDimensionError(f"{self.name} has no factored form")
         return self._factors(n)
 
+    def eigensystem(self, n: int) -> Spectrum:
+        """Memoised spectrum of level n (materialised levels only)."""
+        with self._lock:
+            hit = self._spectra.get(n)
+        if hit is not None:
+            return hit
+        s = eigendecompose(self.density(n))
+        with self._lock:
+            return self._spectra.setdefault(n, s)
+
     def spectrum(self, n: int) -> np.ndarray:
         """Descending eigenvalues of level n (materialised levels only)."""
-        return eigendecompose(self.density(n)).eigenvalues
+        return self.eigensystem(n).eigenvalues
 
     def entropy(self, n: int) -> float:
         """Entropy in bits of level n, via the factorisation when present."""
         if self._factors is not None:
             self._check_depth(n)
             return float(sum(shannon_entropy(f) for f in self._factors(n)))
-        return von_neumann_entropy(self.density(n))
+        return von_neumann_entropy(self.eigensystem(n))
 
 
 @dataclass(frozen=True)
@@ -436,6 +450,8 @@ class DensitySpec:
     def total_mass(self) -> float:
         if self.antiderivative is not None:
             return float(self.antiderivative(np.array([1.0]))[0] - self.antiderivative(np.array([0.0]))[0])
+        from scipy.integrate import quad
+
         val, _ = quad(self.density, 0.0, 1.0, epsabs=self.quad_tol, limit=500)
         return float(val)
 
@@ -451,6 +467,8 @@ class DensitySpec:
             deepest = max([depth] + list(self._leaf_cache))
             base = self._leaf_cache.get(deepest)
             if base is None:
+                from scipy.integrate import quad
+
                 xs = np.linspace(0.0, 1.0, (1 << deepest) + 1)
                 base = np.array(
                     [

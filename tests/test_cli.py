@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,10 @@ from qubitlab.cli import (
     log_power_entropy_integral,
     main,
 )
+
+
+#: the source root of the package under test, for fresh interpreters
+SRC = Path(q.__file__).resolve().parents[1]
 
 
 def run(*argv):
@@ -207,3 +215,17 @@ def test_quadrature_entropy_integral_value():
     )
     with pytest.raises(ValueError):
         log_power_entropy_integral(2.0)
+
+
+def test_import_and_closed_form_densities_skip_scipy_integrate():
+    # quadrature is loaded only where it runs; an antiderivative never needs it
+    code = (
+        "import sys\n"
+        "import qubitlab.cli\n"
+        "from qubitlab import log_power_density, measure_state\n"
+        "measure_state(log_power_density(2), 8).spectrum(8)\n"
+        "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate was imported'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -96,6 +96,19 @@ def test_densities_and_parameters_reject_non_finite(bad):
         q.ui_profile(fam, [0.5, bad], 4)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(BAD, st.sampled_from([0.5, 1.25, -0.5])), st.integers(0, 3))
+def test_projection_indices_reject_non_finite_and_fractional(bad, at):
+    indices = [0.0, 1.0, 2.0, 3.0]
+    indices[at] = bad
+    with pytest.raises(MalformedOperatorError):
+        q.Projection.from_basis(2, indices)
+    with pytest.raises(MalformedOperatorError):
+        q.Projection.from_factors([(1, [0]), (2, indices)])
+    with pytest.raises(MalformedOperatorError):
+        projection_from_json({"qubits": 2, "kind": "basis", "indices": indices})
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_cli_rejects_non_finite_input(tmp_path, capsys, bad):
     out = tmp_path / "out.csv"
