@@ -217,24 +217,16 @@ def cmd_ui_profile(args) -> int:
 
 
 def log_power_entropy_integral(p: float) -> float:
-    """-int f log2 f for the log-power density, p > 2, by adaptive quadrature.
+    """-int f log2 f for the log-power density, p > 2, in closed form.
 
-    Uses the exact substitution u = 1 - ln x, under which the integrand is
-    smooth on [1, inf) and QUADPACK converges to near machine precision.
+    Under the substitution u = 1 - ln x the integral of f ln f becomes
+    int_1^inf (p-1) u^-p (ln(p-1) + u - 1 - p ln u) du, whose three terms
+    integrate to ln(p-1), (p-1)/(p-2) - 1 and -p/(p-1).
     """
     if p <= 2:
         raise ValueError("entropy integral diverges for p <= 2")
     c = p - 1.0
-    log2e = math.log2(math.e)
-
-    def g(u):
-        # log2 f(x(u)) expanded so nothing overflows for large u
-        return (c / u**p) * (math.log2(c) + (u - 1.0) * log2e - p * np.log2(u))
-
-    from scipy.integrate import quad
-
-    val, _ = quad(g, 1.0, np.inf, limit=500)
-    return -val
+    return -(math.log(c) + c / (p - 2.0) - 1.0 - p / c) / math.log(2.0)
 
 
 def _random_density(rng, qubits: int) -> DensityOperator:

@@ -175,6 +175,20 @@ class Spectrum:
 
 
 @dataclass(frozen=True)
+class SpectrumHistogram:
+    """Spectrum of a ``qubits``-qubit level as distinct values with multiplicities.
+
+    ``values`` are the distinct positive eigenvalues, descending, and
+    ``multiplicities`` their exact counts as Python ints; the remaining
+    ``2^qubits - sum(multiplicities)`` eigenvalues are zero.
+    """
+
+    qubits: int
+    values: tuple[float, ...]
+    multiplicities: tuple[int, ...]
+
+
+@dataclass(frozen=True)
 class Projection:
     """Hermitian projection in dense, basis-subset, or factored-subset form.
 
@@ -371,7 +385,20 @@ def _as_descending(s) -> np.ndarray:
 
 
 def top_k_sum(s, k: int) -> float:
-    """Sum of the k largest eigenvalues of a spectrum (or operator)."""
+    """Sum of the k largest eigenvalues of a spectrum, operator or histogram."""
+    if isinstance(s, SpectrumHistogram):
+        if not 1 <= k <= 1 << s.qubits:
+            raise BadDimensionError(f"k={k} out of range 1..{1 << s.qubits}")
+        total = 0.0
+        for v, c in zip(s.values, s.multiplicities):
+            take = min(c, k)
+            # a take past 2^1023 has no float; shift it into range (a no-op below 2^1000)
+            shift = max(0, take.bit_length() - 1000)
+            total += (take >> shift) * math.ldexp(v, shift)
+            k -= take
+            if not k:
+                break
+        return total
     w = _as_descending(s)
     if not 1 <= k <= w.size:
         raise BadDimensionError(f"k={k} out of range 1..{w.size}")

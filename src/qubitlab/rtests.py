@@ -31,7 +31,6 @@ from .linalg import (
     projection_weight,
     tau_weight,
     top_k_projector,
-    top_k_sum,
     _finite,
 )
 from .states import StateSequence, block_checkpoint
@@ -339,8 +338,9 @@ def _scan(
     depth; the first n with an admissible rank k = rank_at(n, m) (None
     when inadmissible) and top-k mass above delta emits the top-k
     eigenprojector of level n, which must pass certified(m, n, rank).
-    Spectra come from the state's memo, so no level is decomposed twice.
-    Orders with no such depth up to the cap are reported as exhausted.
+    Mass tests read the state's memoised histogram or spectrum; only an
+    emitted level is decomposed, and never twice.  Orders with no such
+    depth up to the cap are reported as exhausted.
     """
     delta = float(as_fraction(delta))
     depth_cap = min(depth_cap, state.max_depth)
@@ -352,7 +352,7 @@ def _scan(
             k = rank_at(n, m)
             if k is None:
                 continue
-            if top_k_sum(state.eigensystem(n), k) > delta:
+            if state.top_k_mass(n, k) > delta:
                 break
         else:
             exhausted.append(m)

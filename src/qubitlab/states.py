@@ -10,11 +10,15 @@ unit interval.
 
 Sequences whose levels are tensor products of small diagonal blocks also
 carry that factorisation, which lets entropy and coherence reach depths
-far beyond anything a materialised 2^n vector could.
+far beyond anything a materialised 2^n vector could.  The spectrum of
+such a level is a product of the factors' spectra, so by the method of
+types it is an exact histogram of distinct values with integer
+multiplicities, usually far shorter than 2^n.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from collections.abc import Callable, Iterable, Sequence
@@ -28,6 +32,7 @@ from .linalg import (
     DensityOperator,
     DimensionCapError,
     Spectrum,
+    SpectrumHistogram,
     WrongTraceError,
     dense_qubit_cap,
     eigendecompose,
@@ -36,13 +41,77 @@ from .linalg import (
     partial_trace_k,
     shannon_entropy,
     tensor,
+    top_k_sum,
     von_neumann_entropy,
     _pt_diag,
+    _readonly,
 )
 
 
 class SourceExhaustedError(ValueError):
     """Bit source ran out before the requested depth."""
+
+
+@dataclass(frozen=True)
+class _FactorSummary:
+    """A diagonal factor's distinct positive entries (descending), their counts and its entropy."""
+
+    values: tuple[float, ...]
+    counts: tuple[int, ...]
+    entropy: float
+
+
+def _summarise(f: np.ndarray) -> _FactorSummary:
+    h = shannon_entropy(f)
+    vals, counts = np.unique(f[f > 0.0], return_counts=True)
+    return _FactorSummary(tuple(vals[::-1].tolist()), tuple(counts[::-1].tolist()), h)
+
+
+def _types(copies: int, parts: int):
+    """Every tuple of ``parts`` nonnegative ints summing to ``copies``."""
+    if parts == 1:
+        yield (copies,)
+        return
+    for j in range(copies, -1, -1):
+        for rest in _types(copies - j, parts - 1):
+            yield (j, *rest)
+
+
+def _power_histogram(s: _FactorSummary, copies: int) -> dict[float, int]:
+    """Eigenvalue -> multiplicity of ``copies`` copies of one factor, by type class.
+
+    The type taking the i-th distinct value j_i times has the value
+    prod v_i^j_i, always computed by this one expression so equal types
+    give equal floats, and multiplicity multinomial(copies; j) prod c_i^j_i.
+    """
+    out: dict[float, int] = {}
+    for js in _types(copies, len(s.values)):
+        v = math.prod(x**j for x, j in zip(s.values, js))
+        mult, left = 1, copies
+        for j, c in zip(js, s.counts):
+            mult *= math.comb(left, j) * c**j
+            left -= j
+        out[v] = out.get(v, 0) + mult
+    return out
+
+
+def _level_histogram(n: int, parts: list[tuple[_FactorSummary, int]]) -> SpectrumHistogram | None:
+    """Histogram of an n-qubit product of (factor summary, copies) parts.
+
+    None when the type-class count bound, the product over parts of
+    C(copies + r - 1, r - 1) for r distinct values, is not below 2^n.
+    """
+    if math.prod(math.comb(c + len(s.values) - 1, c) for s, c in parts) >= 1 << n:
+        return None
+    acc = {1.0: 1}
+    for s, c in parts:
+        merged: dict[float, int] = {}
+        for b, mb in _power_histogram(s, c).items():
+            for a, ma in acc.items():
+                merged[a * b] = merged.get(a * b, 0) + ma * mb
+        acc = merged
+    items = sorted((item for item in acc.items() if item[0] > 0.0), reverse=True)
+    return SpectrumHistogram(n, tuple(v for v, _ in items), tuple(c for _, c in items))
 
 
 class StateSequence:
@@ -54,8 +123,11 @@ class StateSequence:
     depth, and without a generator level n is materialised as the kron of
     its factors (up to the diagonal cap).  Levels and their spectra are
     memoised side by side, so each level is decomposed at most once; a
-    dense level's eigenvectors then live as long as the sequence.  Access
-    is thread-safe.
+    dense level's eigenvectors then live as long as the sequence.  A
+    factored level's spectrum is also memoised as a histogram, built from
+    per-factor summaries that are keyed by the factor object, so a
+    ``factors`` callable should hand out the same arrays for repeated
+    factors.  Access is thread-safe.
     """
 
     def __init__(
@@ -76,6 +148,9 @@ class StateSequence:
         self._factors = factors
         self._cache: dict[int, DensityOperator] = {}
         self._spectra: dict[int, Spectrum] = {}
+        self._histograms: dict[int, SpectrumHistogram | None] = {}
+        # id(factor) -> (factor, summary); holding the factor keeps its id unique
+        self._summaries: dict[int, tuple[np.ndarray, _FactorSummary]] = {}
         self._lock = threading.Lock()
 
     def __repr__(self) -> str:
@@ -128,11 +203,44 @@ class StateSequence:
         """Descending eigenvalues of level n (materialised levels only)."""
         return self.eigensystem(n).eigenvalues
 
+    def _summary(self, f: np.ndarray) -> _FactorSummary:
+        hit = self._summaries.get(id(f))
+        if hit is None:
+            hit = self._summaries.setdefault(id(f), (f, _summarise(f)))
+        return hit[1]
+
+    def histogram(self, n: int) -> SpectrumHistogram | None:
+        """Memoised spectrum histogram of factored level n.
+
+        Each distinct factor with c copies contributes its type classes,
+        and the factors' histograms multiply with equal values merged.
+        None for an unfactored state, and for a level whose histogram could
+        have as many entries as its 2^n spectrum; `top_k_mass` then reads
+        the materialised spectrum.
+        """
+        self._check_depth(n)
+        if self._factors is None:
+            return None
+        with self._lock:
+            if n in self._histograms:
+                return self._histograms[n]
+        copies: dict[int, list] = {}
+        for f in self._factors(n):
+            copies.setdefault(id(f), [f, 0])[1] += 1
+        hist = _level_histogram(n, [(self._summary(f), c) for f, c in copies.values()])
+        with self._lock:
+            return self._histograms.setdefault(n, hist)
+
+    def top_k_mass(self, n: int, k: int) -> float:
+        """Sum of the k largest eigenvalues of level n, from its histogram when it has one."""
+        hist = self.histogram(n)
+        return top_k_sum(self.eigensystem(n) if hist is None else hist, k)
+
     def entropy(self, n: int) -> float:
         """Entropy in bits of level n, via the factorisation when present."""
         if self._factors is not None:
             self._check_depth(n)
-            return float(sum(shannon_entropy(f) for f in self._factors(n)))
+            return float(sum(self._summary(f).entropy for f in self._factors(n)))
         return von_neumann_entropy(self.eigensystem(n))
 
 
@@ -285,16 +393,9 @@ def explicit_state(name: str, levels: Sequence[DensityOperator]) -> StateSequenc
 def tracial_state(max_depth: int) -> StateSequence:
     """The uniform sequence: every level is 2^-n times the identity."""
     half = np.array([0.5, 0.5])
-
-    def gen(n: int) -> DensityOperator:
-        if n > DIAG_QUBIT_CAP:
-            raise DimensionCapError(f"cannot materialise {n} qubits")
-        return DensityOperator.diagonal(np.full(1 << n, 2.0**-n))
-
     return StateSequence(
         "tracial",
         max_depth,
-        gen,
         representation="diag",
         factors=lambda n: [half] * n,
         spec={"kind": "tracial", "n_max": max_depth},
@@ -325,18 +426,9 @@ def pure_bitstring_state(bits, max_depth: int, *, name: str | None = None) -> St
     """Rank-one diagonal sequence following a fixed bitstring prefix."""
     word = _coerce_bits(bits, max_depth)
     e0, e1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-
-    def gen(n: int) -> DensityOperator:
-        if n > DIAG_QUBIT_CAP:
-            raise DimensionCapError(f"cannot materialise {n} qubits")
-        p = np.zeros(1 << n)
-        p[int(word[:n], 2)] = 1.0
-        return DensityOperator.diagonal(p)
-
     return StateSequence(
         name or f"pure:{word[:8]}...",
         max_depth,
-        gen,
         representation="diag",
         factors=lambda n: [e0 if c == "0" else e1 for c in word[:n]],
         spec={"kind": "pure", "bits": word, "n_max": max_depth},
@@ -359,15 +451,17 @@ def _block_factor(i: int) -> np.ndarray:
     return v
 
 
-def _block_factors(n: int) -> list[np.ndarray]:
+def _block_factors(
+    n: int, factor: Callable[[int], np.ndarray] = _block_factor
+) -> list[np.ndarray]:
     fs = []
     used, i = 0, 1
     while used + i + 1 <= n:
-        fs.append(_block_factor(i))
+        fs.append(factor(i))
         used += i + 1
         i += 1
     if n - used > 0:
-        fs.append(_block_factor(n - used - 1))
+        fs.append(factor(n - used - 1))
     return fs
 
 
@@ -378,11 +472,13 @@ def block_state(max_depth: int) -> StateSequence:
     blocks, so the per-qubit entropy climbs toward 1 while every checkpoint
     level sits entirely inside an exponentially thin basis subset.
     """
+    # one read-only array per block size, shared by every level
+    factor = functools.cache(lambda i: _readonly(_block_factor(i)))
     return StateSequence(
         "block",
         max_depth,
         representation="diag",
-        factors=_block_factors,
+        factors=lambda n: _block_factors(n, factor),
         spec={"kind": "block", "n_max": max_depth},
     )
 
@@ -396,10 +492,11 @@ def tensor_power_state(
     spec = {"kind": "tensor_power", "n_max": max_depth, "factor": matrix_to_json(d)}
     if d.is_diagonal:
         base = d.probs.astype(float)
+        tails = {r: _pt_diag(base, k - r) for r in range(1, k)}
 
         def facs(n: int) -> list[np.ndarray]:
             q, r = divmod(n, k)
-            return [base] * q + ([_pt_diag(base, k - r)] if r else [])
+            return [base] * q + ([tails[r]] if r else [])
 
         return StateSequence(label, max_depth, representation="diag", factors=facs, spec=spec)
     top = -(-max_depth // k) * k
@@ -460,8 +557,12 @@ class DensitySpec:
         if depth > DIAG_QUBIT_CAP:
             raise DimensionCapError(f"depth {depth} exceeds diagonal cap")
         if self.antiderivative is not None:
+            # the grid's buffer takes the differences, so only F(grid) is extra
             xs = np.linspace(0.0, 1.0, (1 << depth) + 1)
-            return np.clip(np.diff(self.antiderivative(xs)), 0.0, None)
+            fx = self.antiderivative(xs)
+            masses = np.subtract(fx[1:], fx[:-1], out=xs[:-1])
+            del fx
+            return np.clip(masses, 0.0, None, out=masses)
         leaves = self._leaf_cache.get(depth)
         if leaves is None:
             deepest = max([depth] + list(self._leaf_cache))
@@ -505,10 +606,10 @@ def log_power_density(p: float) -> DensitySpec:
 
     def F(x):
         x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
         pos = x > 0
-        out[pos] = (1.0 - np.log(x[pos])) ** (1.0 - p)
-        return out
+        out = np.log(x, out=np.zeros_like(x), where=pos)
+        np.subtract(1.0, out, out=out, where=pos)
+        return np.power(out, 1.0 - p, out=out, where=pos)
 
     return DensitySpec(density=f, antiderivative=F, name=f"log-power-{p:g}")
 

@@ -205,3 +205,22 @@ def builder_plan_oracle(state, kind: str, rates, delta: Fraction, terms: int, de
         else:
             exhausted.append(m)
     return plan, tuple(exhausted), margin
+
+
+def log_power_entropy_integral_oracle(p: float) -> float:
+    """-int_0^1 f log2 f for f(x) = (p-1) / (x (1 - ln x)^p), by mpmath quadrature.
+
+    Integrates in u = 1 - ln x, where f dx = (p-1) u^-p du and
+    ln f = ln(p-1) + u - 1 - p ln u, at 40 significant digits; the interval
+    is split at powers of ten so tanh-sinh sees a smooth integrand on each piece.
+    """
+    import mpmath
+
+    with mpmath.workdps(40):
+        c = mpmath.mpf(p) - 1
+
+        def integrand(u):
+            return c * u ** (-p) * (mpmath.log(c) + u - 1 - p * mpmath.log(u))
+
+        val = mpmath.quad(integrand, [1, 10, 100, 1000, 10000, mpmath.inf])
+        return float(-val / mpmath.log(2))

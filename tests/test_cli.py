@@ -229,3 +229,24 @@ def test_import_and_closed_form_densities_skip_scipy_integrate():
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 10.0])
+def test_entropy_integral_matches_mpmath_oracle(p):
+    from conftest import log_power_entropy_integral_oracle
+
+    assert abs(log_power_entropy_integral(p) - log_power_entropy_integral_oracle(p)) <= 1e-12
+
+
+def test_reproduce_fstate_finite_skips_scipy_integrate(tmp_path):
+    # the entropy integral is a closed form, so the bundle runs without quadrature
+    code = (
+        "import sys\n"
+        "from qubitlab.cli import main\n"
+        f"assert main(['reproduce', 'fstate-finite', '--out', {str(tmp_path)!r}]) == 0\n"
+        "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate was imported'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "gap_above_limit gap=" in proc.stdout and "limit=-0.278652" in proc.stdout

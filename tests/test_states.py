@@ -260,3 +260,39 @@ def test_state_sequence_thread_safe_memoisation():
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(spectra[0], q.eigendecompose(dense.density(6)).eigenvalues)
+
+
+def _log_power_masses_reference(p: float, depth: int) -> np.ndarray:
+    """Antiderivative-branch masses as first written: masked copies, np.diff, np.clip."""
+    xs = np.linspace(0.0, 1.0, (1 << depth) + 1)
+    big_f = np.zeros_like(xs)
+    pos = xs > 0
+    big_f[pos] = (1.0 - np.log(xs[pos])) ** (1.0 - p)
+    return np.clip(np.diff(big_f), 0.0, None)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 10.0])
+def test_cylinder_masses_bitwise_equal_to_reference(p):
+    spec = q.log_power_density(p)
+    for depth in (1, 2, 9, 16):
+        got = spec.cylinder_masses(depth)
+        assert got.tobytes() == _log_power_masses_reference(p, depth).tobytes(), depth
+    x = np.array([-1.0, 0.0, 1e-300, 0.5, 1.0])
+    assert np.array_equal(spec.antiderivative(x)[:2], [0.0, 0.0])
+    assert spec.antiderivative(x)[2:].tolist() == pytest.approx(
+        [(1.0 - math.log(v)) ** (1.0 - p) for v in x[2:]], rel=1e-14
+    )
+
+
+def test_cylinder_masses_peak_memory_at_depth_20():
+    import tracemalloc
+
+    spec = q.log_power_density(2)
+    tracemalloc.start()
+    try:
+        masses = spec.cylinder_masses(20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert masses.size == 1 << 20
+    assert peak <= 2.5 * masses.nbytes, peak / masses.nbytes
