@@ -30,7 +30,6 @@ from .linalg import (
     DensityOperator,
     Projection,
     Spectrum,
-    SpectrumHistogram,
     eigendecompose,
     partial_trace_k,
     partial_trace_last,

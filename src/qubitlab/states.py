@@ -19,8 +19,10 @@ multiplicities, usually far shorter than 2^n.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import threading
+import weakref
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
@@ -68,13 +70,10 @@ def _summarise(f: np.ndarray) -> _FactorSummary:
 
 
 def _types(copies: int, parts: int):
-    """Every tuple of ``parts`` nonnegative ints summing to ``copies``."""
-    if parts == 1:
-        yield (copies,)
-        return
-    for j in range(copies, -1, -1):
-        for rest in _types(copies - j, parts - 1):
-            yield (j, *rest)
+    """Every tuple of ``parts`` nonnegative ints summing to ``copies`` (stars and bars)."""
+    for bars in itertools.combinations(range(copies + parts - 1), parts - 1):
+        edges = (-1, *bars, copies + parts - 1)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 
 
 def _power_histogram(s: _FactorSummary, copies: int) -> dict[float, int]:
@@ -98,10 +97,21 @@ def _power_histogram(s: _FactorSummary, copies: int) -> dict[float, int]:
 def _level_histogram(n: int, parts: list[tuple[_FactorSummary, int]]) -> SpectrumHistogram | None:
     """Histogram of an n-qubit product of (factor summary, copies) parts.
 
-    None when the type-class count bound, the product over parts of
-    C(copies + r - 1, r - 1) for r distinct values, is not below 2^n.
+    A part with c copies of an r-valued factor has t = C(c + r - 1, r - 1)
+    types, each valued with r products, and merging multiplies the type
+    counts.  None when prod(t) is not below 2^n (no saving), or when the
+    work, sum(t * r) + parts * prod(t), exceeds 2^(m - 3) for
+    m = min(max(n, 12), DIAG_QUBIT_CAP - 3).  A unit of that work costs
+    about five times what sorting one materialised eigenvalue does, so an
+    eighth of 2^n keeps the histogram the cheaper path; below 2^9 units
+    either path is instant; and the 2^18 ceiling (a fraction of a second)
+    leaves a level past the diagonal cap with costly types to raise
+    DimensionCapError.
     """
-    if math.prod(math.comb(c + len(s.values) - 1, c) for s, c in parts) >= 1 << n:
+    types = [math.comb(c + len(s.values) - 1, c) for s, c in parts]
+    size = math.prod(types)
+    work = sum(t * len(s.values) for t, (s, _) in zip(types, parts)) + len(parts) * size
+    if size >= 1 << n or work > 1 << (min(max(n, 12), DIAG_QUBIT_CAP - 3) - 3):
         return None
     acc = {1.0: 1}
     for s, c in parts:
@@ -125,8 +135,8 @@ class StateSequence:
     memoised side by side, so each level is decomposed at most once; a
     dense level's eigenvectors then live as long as the sequence.  A
     factored level's spectrum is also memoised as a histogram, built from
-    per-factor summaries that are keyed by the factor object, so a
-    ``factors`` callable should hand out the same arrays for repeated
+    per-factor summaries that are kept while their factor object lives, so
+    a ``factors`` callable should hand out the same arrays for repeated
     factors.  Access is thread-safe.
     """
 
@@ -149,8 +159,8 @@ class StateSequence:
         self._cache: dict[int, DensityOperator] = {}
         self._spectra: dict[int, Spectrum] = {}
         self._histograms: dict[int, SpectrumHistogram | None] = {}
-        # id(factor) -> (factor, summary); holding the factor keeps its id unique
-        self._summaries: dict[int, tuple[np.ndarray, _FactorSummary]] = {}
+        # id(factor) -> summary, dropped when the factor dies so an id is never reused
+        self._summaries: dict[int, _FactorSummary] = {}
         self._lock = threading.Lock()
 
     def __repr__(self) -> str:
@@ -206,17 +216,22 @@ class StateSequence:
     def _summary(self, f: np.ndarray) -> _FactorSummary:
         hit = self._summaries.get(id(f))
         if hit is None:
-            hit = self._summaries.setdefault(id(f), (f, _summarise(f)))
-        return hit[1]
+            hit = _summarise(f)
+            with self._lock:
+                if id(f) in self._summaries:
+                    return self._summaries[id(f)]
+                self._summaries[id(f)] = hit
+            weakref.finalize(f, self._summaries.pop, id(f), None)
+        return hit
 
     def histogram(self, n: int) -> SpectrumHistogram | None:
         """Memoised spectrum histogram of factored level n.
 
         Each distinct factor with c copies contributes its type classes,
         and the factors' histograms multiply with equal values merged.
-        None for an unfactored state, and for a level whose histogram could
-        have as many entries as its 2^n spectrum; `top_k_mass` then reads
-        the materialised spectrum.
+        None for an unfactored state, and for a level whose type classes
+        would cost more than sorting its spectrum (see `_level_histogram`);
+        `top_k_mass` then reads the materialised spectrum.
         """
         self._check_depth(n)
         if self._factors is None:
@@ -451,18 +466,21 @@ def _block_factor(i: int) -> np.ndarray:
     return v
 
 
-def _block_factors(
-    n: int, factor: Callable[[int], np.ndarray] = _block_factor
-) -> list[np.ndarray]:
-    fs = []
+def _block_sizes(n: int) -> list[int]:
+    """Uniform-qubit counts of the blocks of level n, the last one possibly cut short."""
+    sizes = []
     used, i = 0, 1
     while used + i + 1 <= n:
-        fs.append(factor(i))
+        sizes.append(i)
         used += i + 1
         i += 1
     if n - used > 0:
-        fs.append(factor(n - used - 1))
-    return fs
+        sizes.append(n - used - 1)
+    return sizes
+
+
+def _block_factors(n: int) -> list[np.ndarray]:
+    return [_block_factor(i) for i in _block_sizes(n)]
 
 
 def block_state(max_depth: int) -> StateSequence:
@@ -478,7 +496,7 @@ def block_state(max_depth: int) -> StateSequence:
         "block",
         max_depth,
         representation="diag",
-        factors=lambda n: _block_factors(n, factor),
+        factors=lambda n: [factor(i) for i in _block_sizes(n)],
         spec={"kind": "block", "n_max": max_depth},
     )
 

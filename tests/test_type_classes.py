@@ -1,6 +1,7 @@
 """Spectrum histograms of factored levels, and builders that materialise only what they emit."""
 
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import pytest
 import qubitlab as q
 from qubitlab.dyadic import rank_ceil, rank_floor
 from qubitlab.linalg import DimensionCapError, SpectrumHistogram
+from qubitlab.states import _power_histogram, _summarise
 
 from conftest import binomial_top_sum_oracle
 
@@ -164,3 +166,59 @@ def test_histogram_memo_thread_safe():
             assert all(h is hists[0] for h in hists)
     finally:
         sys.setswitchinterval(interval)
+
+
+def _sixteen_valued_factor():
+    p = np.arange(1.0, 17.0)
+    return p / p.sum()
+
+
+def test_costly_type_classes_past_the_cap_still_raise_at_once():
+    # 16 values: from 6 copies on, the types cost more than a materialised level
+    state = _diag_power(_sixteen_valued_factor(), 60)
+    for n in (25, 40, 60):
+        assert state.histogram(n) is None
+        with pytest.raises(DimensionCapError):
+            state.top_k_mass(n, 1)
+    # uniform qubits up to the cap, then 16-valued factors: the builder
+    # reads histograms below the cap and stops where the types turn costly
+    half, f16 = np.array([0.5, 0.5]), _sixteen_valued_factor()
+
+    def factors(n):
+        if n <= 24:
+            return [half] * n
+        return [half] * (20 + n % 4) + [f16] * ((n - 20) // 4)
+
+    state = q.StateSequence("uniform-then-16", 60, representation="diag", factors=factors)
+    start = time.perf_counter()
+    with pytest.raises(DimensionCapError):
+        q.build_ui_test(state, "1/2", 6, 60)
+    assert time.perf_counter() - start < 10.0
+    assert not state._cache
+    assert state.histogram(28) is not None and state.histogram(40) is None
+
+
+def test_factor_with_more_than_a_thousand_values():
+    p = np.zeros(1 << 11)
+    p[:1100] = np.linspace(1.0, 2.0, 1100)
+    p /= p.sum()
+    summary = _summarise(p)
+    assert len(summary.values) == 1100
+    assert sum(_power_histogram(summary, 1).values()) == 1100
+    state = _diag_power(p, 22)
+    for n in (11, 12, 22):
+        assert state.top_k_mass(n, 7) == q.top_k_sum(state.eigensystem(n), 7)
+        del state._cache[n], state._spectra[n]
+
+
+def test_summaries_are_dropped_with_their_factors():
+    # a factors callable that builds new arrays on every call pins none of them
+    state = q.StateSequence(
+        "fresh-arrays", 80, representation="diag",
+        factors=lambda n: [np.array([0.7, 0.3]) for _ in range(n)],
+    )
+    want = q.shannon_entropy(np.array([0.7, 0.3]))
+    profile = q.entropy_profile(state, 80)
+    assert profile.entries[-1][1] == pytest.approx(80 * want, rel=1e-12)
+    assert state.top_k_mass(12, 1) == q.top_k_sum(state.eigensystem(12), 1)
+    assert not state._summaries
