@@ -22,14 +22,21 @@ integrals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .dyadic import as_fraction, rank_ceil
-from .linalg import BadDimensionError, _finite, qubit_count, shannon_entropy
-from .states import DensitySpec, StateSequence
+from .linalg import (
+    DIAG_QUBIT_CAP,
+    BadDimensionError,
+    DimensionCapError,
+    _finite,
+    qubit_count,
+    shannon_entropy,
+)
+from .states import TOP_K_ERROR, DensitySpec, StateSequence
 
 #: float dust absorbed when deciding whether one more pad step still fits
 MASS_SLACK = 1e-12
@@ -206,35 +213,50 @@ class StepFamily:
     Member n takes the value 2^n * alpha_i on [(i-1) 2^-n, i 2^-n), so it
     integrates to exactly the spectrum's total mass 1, and its integral
     over the prefix [0, 2^-m) is exactly the top 2^(n-m) eigenvalue mass.
+    Built by `step_family` it reads prefix integrals from the state's top-k
+    masses and materialises a member only when asked; else it reads ``spectra``.
     """
 
-    spectra: dict[int, np.ndarray]
+    spectra: dict[int, np.ndarray] = field(default_factory=dict)
+    state: StateSequence | None = None
+    depth: int = 0
 
     @property
     def depths(self) -> tuple[int, ...]:
-        return tuple(sorted(self.spectra))
+        if self.state is None:
+            return tuple(sorted(self.spectra))
+        return tuple(range(1, self.depth + 1))
+
+    def _check(self, n: int) -> None:
+        if not (n in self.spectra if self.state is None else 1 <= n <= self.depth):
+            raise BadDimensionError(f"step family lacks depth {n}")
 
     def member(self, n: int) -> np.ndarray:
-        return self.spectra[n]
+        self._check(n)
+        return self.spectra[n] if self.state is None else self.state.spectrum(n)
 
     def evaluate(self, n: int, x: float) -> float:
         """Value of member n at a point of [0, 1)."""
         if not 0 <= x < 1:
             raise ValueError("x must lie in [0, 1)")
-        a = self.spectra[n]
+        a = self.member(n)
         return float(a[min(int(x * a.size), a.size - 1)] * a.size)
 
 
 def step_family(state: StateSequence, depth: int) -> StepFamily:
-    return StepFamily(spectra={n: state.spectrum(n) for n in range(1, depth + 1)})
+    if depth > state.max_depth:
+        raise BadDimensionError(f"depth {depth} beyond max_depth {state.max_depth}")
+    return StepFamily(state=state, depth=depth)
 
 
 def prefix_integral(fam: StepFamily, n: int, m: int) -> float:
     """Integral of member n over [0, 2^-m): the top 2^(n-m) eigenvalue mass."""
-    if m > n:
-        raise ValueError(f"m={m} exceeds member depth n={n}")
-    a = fam.spectra[n]
-    return float(a[: 1 << (n - m)].sum())
+    if not 0 <= m <= n:
+        raise ValueError(f"m={m} outside 0..n for member depth n={n}")
+    fam._check(n)
+    if fam.state is None:
+        return float(fam.spectra[n][: 1 << (n - m)].sum())
+    return fam.state.top_k_mass(n, 1 << (n - m))
 
 
 @dataclass(frozen=True)
@@ -262,27 +284,35 @@ class UIProfile:
 
 
 def ui_profile(fam: StepFamily, deltas, depth: int) -> UIProfile:
+    """Smallest m with sup_n prefix_integral(n, m) <= delta, for each delta.
+
+    The sups are taken in ascending m until every delta has its modulus.
+    Past the diagonal cap each sup must clear every delta it decides by
+    more than `TOP_K_ERROR`, the error of the masses it is read from, or
+    DimensionCapError is raised: no modulus is returned uncertified.
+    """
     deltas = [float(d) for d in deltas]
     _finite(np.asarray(deltas), "delta")
     if not deltas:
         raise ValueError("empty delta grid")
-    missing = [n for n in range(1, depth + 1) if n not in fam.spectra]
+    have = set(fam.depths)
+    missing = [n for n in range(1, depth + 1) if n not in have]
     if missing:
         raise ValueError(f"step family lacks depths {missing}")
-    sup_by_m = {
-        m: max(prefix_integral(fam, n, m) for n in range(m, depth + 1))
-        for m in range(1, depth + 1)
-    }
-    entries = []
-    for delta in deltas:
-        modulus = next((m for m in sorted(sup_by_m) if sup_by_m[m] <= delta), None)
-        entries.append(
-            UIEntry(
-                delta=delta,
-                modulus=modulus,
-                epsilon=None if modulus is None else 2.0**-modulus,
-            )
-        )
+    slack = TOP_K_ERROR if depth > DIAG_QUBIT_CAP else 0.0
+    moduli: dict[float, int] = {}
+    for m in range(1, depth + 1):
+        open_deltas = [d for d in deltas if d not in moduli]
+        if not open_deltas:
+            break
+        sup = max(prefix_integral(fam, n, m) for n in range(m, depth + 1))
+        for delta in open_deltas:
+            if slack and abs(sup - delta) <= slack:
+                raise DimensionCapError(
+                    f"sup of prefix integrals at m={m} is within {slack:g} of delta={delta:g}")
+            if sup <= delta:
+                moduli[delta] = m
+    entries = (UIEntry(d, moduli.get(d), 2.0**-moduli[d] if d in moduli else None) for d in deltas)
     return UIProfile(depth=depth, entries=tuple(entries))
 
 

@@ -361,8 +361,15 @@ def shannon_entropy(p, *, atol: float = 1e-6) -> float:
     total = float(p.sum())
     if abs(total - 1.0) > atol:
         raise MalformedOperatorError(f"probabilities sum to {total}, not 1")
-    pp = p[p > 0.0]
-    return float(-(pp * np.log2(pp)).sum())
+    return _entropy_bits(p)
+
+
+def _entropy_bits(p: np.ndarray) -> float:
+    """-sum p log2 p over p's positive entries, copying them out only if p has zeros."""
+    if not p.min() > 0.0:
+        p = p[p > 0.0]
+    lg = np.log2(p)
+    return float(-np.multiply(p, lg, out=lg).sum())
 
 
 def von_neumann_entropy(d: DensityOperator | Spectrum) -> float:
@@ -370,9 +377,7 @@ def von_neumann_entropy(d: DensityOperator | Spectrum) -> float:
 
     Takes an operator, or its spectrum when that is already at hand.
     """
-    w = (d if isinstance(d, Spectrum) else eigendecompose(d)).eigenvalues
-    pp = w[w > 0.0]
-    return float(-(pp * np.log2(pp)).sum())
+    return _entropy_bits((d if isinstance(d, Spectrum) else eigendecompose(d)).eigenvalues)
 
 
 def _as_descending(s) -> np.ndarray:

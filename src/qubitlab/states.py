@@ -161,6 +161,8 @@ class StateSequence:
         self._histograms: dict[int, SpectrumHistogram | None] = {}
         # id(factor) -> summary, dropped when the factor dies so an id is never reused
         self._summaries: dict[int, _FactorSummary] = {}
+        # (n, k) -> top-k mass without materialising, set by constructors that have one
+        self._top_k: Callable[[int, int], float] | None = None
         self._lock = threading.Lock()
 
     def __repr__(self) -> str:
@@ -247,7 +249,10 @@ class StateSequence:
             return self._histograms.setdefault(n, hist)
 
     def top_k_mass(self, n: int, k: int) -> float:
-        """Sum of the k largest eigenvalues of level n, from its histogram when it has one."""
+        """Sum of the k largest eigenvalues of level n: closed form, histogram or spectrum."""
+        if self._top_k is not None:
+            self._check_depth(n)
+            return self._top_k(n, k)
         hist = self.histogram(n)
         return top_k_sum(self.eigensystem(n) if hist is None else hist, k)
 
@@ -308,9 +313,17 @@ class CoherenceReport:
         return None
 
 
-def entropy_profile(state: StateSequence, depth: int) -> EntropyProfile:
+def _check_scan(state: StateSequence, depth: int) -> None:
+    """Refuse up front a scan of levels 1..depth that would fail part way."""
     if depth > state.max_depth:
         raise BadDimensionError(f"depth {depth} beyond max_depth {state.max_depth}")
+    cap = DIAG_QUBIT_CAP if state.representation == "diag" else dense_qubit_cap()
+    if not state.has_factors and depth > cap:
+        raise DimensionCapError(f"depth {depth} needs levels materialised past {cap} qubits")
+
+
+def entropy_profile(state: StateSequence, depth: int) -> EntropyProfile:
+    _check_scan(state, depth)
     rows = []
     for n in range(1, depth + 1):
         h = state.entropy(n)
@@ -367,15 +380,13 @@ def _factored_deviation(a: list[np.ndarray], b: list[np.ndarray], scale: float) 
 
 def check_coherence(state: StateSequence, depth: int, tol: float = 1e-8) -> CoherenceReport:
     """Verify that tracing level n reproduces level n-1, for 2 <= n <= depth."""
-    if depth > state.max_depth:
-        raise BadDimensionError(f"depth {depth} beyond max_depth {state.max_depth}")
+    _check_scan(state, depth)
     devs = []
-    cap = DIAG_QUBIT_CAP if state.representation == "diag" else dense_qubit_cap()
     for n in range(2, depth + 1):
         if state.has_factors:
             traced, scale = _factored_pt(state.diag_factors(n))
             dev = _factored_deviation(traced, state.diag_factors(n - 1), scale)
-        elif n <= cap:
+        else:
             top, below = state.density(n), state.density(n - 1)
             if top.is_diagonal and below.is_diagonal:
                 dev = _max_abs(_pt_diag(top.probs) - below.probs)
@@ -383,8 +394,6 @@ def check_coherence(state: StateSequence, depth: int, tol: float = 1e-8) -> Cohe
                 from .linalg import _pt_dense
 
                 dev = _max_abs(_pt_dense(top.dense_matrix()) - below.dense_matrix())
-        else:
-            raise DimensionCapError(f"cannot check coherence at depth {n} without factors")
         devs.append((n, dev))
     return CoherenceReport(name=state.name, tol=tol, deviations=tuple(devs))
 
@@ -555,6 +564,8 @@ class DensitySpec:
     name: str = "density"
     norm_tol: float = 1e-9
     _leaf_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    #: (n, k) -> the top-k mass of level n in closed form, for densities that have one
+    _top_k: Callable[[int, int], float] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         total = self.total_mass()
@@ -604,6 +615,85 @@ class DensitySpec:
         return np.clip(leaves, 0.0, None)
 
 
+#: deepest level with closed-form top-k masses: past it a cell's 2^-n width
+#: and a cell's 1/index leave the normal float range
+CLOSED_FORM_QUBIT_CAP = 1000
+#: absolute error bound on a closed-form top-k mass (p <= 100): each of its
+#: two antiderivative terms is within about (2p + 10) ulps, and a split taken
+#: at a comparison tie swaps cells whose masses agree to within _TIE
+TOP_K_ERROR = 1e-12
+#: log cell masses closer than this compare as a tie (their rounding is ~10 ulps)
+_TIE = 2.0**-46
+
+
+def _log_frac(i: int, n: int) -> float:
+    """ln(i / 2^n) without cancellation, for 0 < i <= 2^n <= 2^CLOSED_FORM_QUBIT_CAP."""
+    if 2 * i <= 1 << n:
+        return math.log(math.ldexp(i, -n))
+    return math.log1p(-math.ldexp((1 << n) - i, -n))
+
+
+def _log_power_top_k(p: float) -> Callable[[int, int], float]:
+    """Top-k mass of level n of the log-power-p measure state, in closed form.
+
+    The density falls to its one minimum, at e^(1-p), and then rises.  So
+    the cell masses fall and then rise (the cell holding the minimum is no
+    heavier than both neighbours), and the k heaviest cells are the first
+    j plus the last k - j, of mass F(j/2^n) + 1 - F(1 - (k-j)/2^n).  The
+    split j is searched over integer cell indices, comparing the logs of
+    2^n times the cell masses, which for cell i = [a, a + w) with
+    u = 1 - ln a are u^(1-p) expm1((1-p) log1p(-log1p(1/i) / u)), free of
+    cancellation.  The search starts at twice the split of (n-1, k/2),
+    which is where a UI profile's next query lands, and stops at a tie.
+    """
+    q = 1.0 - p
+    valley = math.exp(q)
+    # (n, k) -> split: only a search's starting guess, so racing threads cannot spoil a result
+    splits: dict[tuple[int, int], int] = {}
+
+    def log_cell(i: int, n: int) -> float:
+        if i == 0:
+            return q * math.log1p(n * math.log(2.0)) + n * math.log(2.0)
+        ln_a = _log_frac(i, n)
+        t = q * math.log1p(-math.log1p(1.0 / i) / (1.0 - ln_a))
+        return q * math.log1p(-ln_a) + math.log(math.ldexp(math.expm1(t), n))
+
+    def top_k(n: int, k: int) -> float:
+        if n > CLOSED_FORM_QUBIT_CAP:
+            raise DimensionCapError(f"closed-form masses stop at {CLOSED_FORM_QUBIT_CAP} qubits")
+        size = 1 << n
+        if not 1 <= k <= size:
+            raise BadDimensionError(f"k={k} out of range 1..{size}")
+        # the valley cell joins the run that stays monotone with it
+        c = min(int(math.ldexp(valley, n)), size - 1)
+        left = c + 1 if c == 0 or log_cell(c, n) <= log_cell(c - 1, n) else c
+        lo, hi = max(0, k - (size - left)), min(k, left)
+        end = hi  # the left run can grow no further
+        # gallop from the guess while the split stays on one side, then bisect
+        guess = splits.pop((n - 1, k >> 1), None)
+        j = lo if guess is None else min(max(lo, 2 * guess), hi)
+        step, way = 1, 0
+        while lo < hi:
+            # the split lies above j when the next left cell outweighs the last right one
+            d = -1.0 if j == end else log_cell(j, n) - log_cell(size - k + j, n)
+            if abs(d) <= _TIE:
+                break
+            s = 1 if d > 0 else -1
+            lo, hi = (j + 1, hi) if s > 0 else (lo, j)
+            if way in (0, s):
+                way, j, step = s, min(max(j + s * step, lo), hi), 2 * step
+            else:
+                way, j = 2, (lo + hi) // 2
+        else:
+            j = lo
+        if len(splits) < 1 << 12:
+            splits[(n, k)] = j
+        head = math.exp(q * math.log1p(-_log_frac(j, n))) if j else 0.0
+        return head - math.expm1(q * math.log1p(-_log_frac(size - k + j, n)))
+
+    return top_k
+
+
 def log_power_density(p: float) -> DensitySpec:
     """The density (p-1) / (x * (1 - ln x)^p) on (0, 1), for p > 1.
 
@@ -611,7 +701,8 @@ def log_power_density(p: float) -> DensitySpec:
     (1 - ln x)^(1-p).  Its entropy integral -int f log2 f is finite exactly
     when p > 2: p = 3 gives a sequence whose entropy stays within a
     constant of the maximum, while p = 2 drifts away from the maximum
-    without bound.
+    without bound.  For p <= 100 its measure states have closed-form
+    top-k masses to `CLOSED_FORM_QUBIT_CAP` qubits.
     """
     if not p > 1:
         raise ValueError("need p > 1 for an integrable density")
@@ -629,7 +720,8 @@ def log_power_density(p: float) -> DensitySpec:
         np.subtract(1.0, out, out=out, where=pos)
         return np.power(out, 1.0 - p, out=out, where=pos)
 
-    return DensitySpec(density=f, antiderivative=F, name=f"log-power-{p:g}")
+    top_k = _log_power_top_k(p) if p <= 100 else None
+    return DensitySpec(density=f, antiderivative=F, name=f"log-power-{p:g}", _top_k=top_k)
 
 
 def measure_state(spec, max_depth: int, *, name: str | None = None) -> StateSequence:
@@ -637,10 +729,10 @@ def measure_state(spec, max_depth: int, *, name: str | None = None) -> StateSequ
 
     ``spec`` is a DensitySpec, or a callable mapping a cylinder address
     (a '0'/'1' string) to its mass, in which case the masses must already
-    be coherent.
+    be coherent.  Any ``max_depth`` is accepted: levels materialise up to
+    the diagonal cap, and a DensitySpec with closed-form top-k masses
+    answers `top_k_mass` beyond it.
     """
-    if max_depth > DIAG_QUBIT_CAP:
-        raise DimensionCapError(f"depth {max_depth} exceeds diagonal cap")
     if isinstance(spec, DensitySpec):
         label = name or spec.name
         # only densities reconstructible from their name are replayable
@@ -656,12 +748,16 @@ def measure_state(spec, max_depth: int, *, name: str | None = None) -> StateSequ
         replay = None
 
         def gen(n: int) -> DensityOperator:
+            if n > DIAG_QUBIT_CAP:
+                raise DimensionCapError(f"depth {n} exceeds diagonal cap")
             masses = np.array([spec(format(i, f"0{n}b")) for i in range(1 << n)])
             return DensityOperator.diagonal(masses)
 
     else:
         raise TypeError("spec must be a DensitySpec or a cylinder-mass callable")
-    return StateSequence(label, max_depth, gen, representation="diag", spec=replay)
+    state = StateSequence(label, max_depth, gen, representation="diag", spec=replay)
+    state._top_k = getattr(spec, "_top_k", None)
+    return state
 
 
 # ---------------------------------------------------------------------------

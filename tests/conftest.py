@@ -224,3 +224,38 @@ def log_power_entropy_integral_oracle(p: float) -> float:
 
         val = mpmath.quad(integrand, [1, 10, 100, 1000, 10000, mpmath.inf])
         return float(-val / mpmath.log(2))
+
+
+def log_power_top_k_oracle(p: float, n: int, k: int) -> float:
+    """Top-k cell mass at depth n of the density (p-1)/(x (1 - ln x)^p), by mpmath.
+
+    Cells are addressed by integer index i = [i/2^n, (i+1)/2^n), and each
+    mass is F((i+1)/2^n) - F(i/2^n) for F(x) = (1 - ln x)^(1-p), worked
+    with n*log10(2) + 60 digits so the difference keeps 50.  The density
+    falls to its one minimum at e^(1-p) and then rises, so the cell masses
+    fall and then rise, and the k heaviest cells are the first j plus the
+    last k - j.  The valley cell is found from e^(1-p) at full precision,
+    and j by plain bisection on exact-index mass comparisons.
+    """
+    import mpmath
+
+    size = 1 << n
+    with mpmath.workdps(int(n * 0.30103) + 60):
+        one = mpmath.mpf(1)
+
+        def F(i):
+            return 0 * one if i == 0 else (1 - mpmath.log(mpmath.mpf(i) / size)) ** (1 - p)
+
+        def mass(i):
+            return F(i + 1) - F(i)
+
+        c = min(int(mpmath.floor(mpmath.exp(1 - p) * size)), size - 1)
+        left = c + 1 if c == 0 or mass(c) <= mass(c - 1) else c
+        lo, hi = max(0, k - (size - left)), min(k, left)
+        while lo < hi:  # smallest j whose next left cell is no heavier than the last right one
+            j = (lo + hi) // 2
+            if mass(j) > mass(size - k + j):
+                lo = j + 1
+            else:
+                hi = j
+        return float(F(lo) + 1 - F(size - k + lo))

@@ -1,0 +1,182 @@
+"""Closed-form top-k masses of log-power measure states, and UI profiles past 24 qubits.
+
+Expected values come from the materialised spectrum (depth <= 20), the
+mpmath oracle in `conftest.py` (depths 30-300), Ky Fan monotonicity and
+the closed-form p = 2 moduli; never from the closed form itself.
+"""
+
+import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import qubitlab as q
+from qubitlab.linalg import BadDimensionError, DimensionCapError
+from qubitlab.states import CLOSED_FORM_QUBIT_CAP, TOP_K_ERROR
+
+from conftest import log_power_top_k_oracle
+
+PS = (1.5, 2, 2.5, 3, 10)
+
+
+@pytest.mark.parametrize("p", PS)
+def test_top_k_mass_matches_materialised_spectrum(p):
+    rng = np.random.default_rng(int(10 * p))
+    spec = q.log_power_density(p)
+    state = q.measure_state(spec, 20)
+    for n in range(1, 21):
+        desc = np.sort(spec.cylinder_masses(n))[::-1]
+        ks = {1 << (n - m) for m in range(n + 1)} | set(rng.integers(1, 1 << n, 8).tolist())
+        for k in sorted(ks):
+            assert abs(state.top_k_mass(n, k) - q.top_k_sum(desc, k)) <= 1e-12, (n, k)
+    assert not state._cache and not state._spectra
+
+
+@pytest.mark.parametrize("p", (1.5, 2, 3, 10, 100))
+def test_top_k_mass_matches_mpmath_oracle(p):
+    rng = np.random.default_rng(int(p))
+    state = q.measure_state(q.log_power_density(p), 300)
+    for n in (30, 64, 150, 300):
+        ks = [1 << (n - m) for m in (1, 3, 7)]
+        ks += [1, (1 << n) - 1, int(rng.integers(1, 1 << 29)) << (n - 29)]
+        for k in ks:
+            assert abs(state.top_k_mass(n, k) - log_power_top_k_oracle(p, n, k)) <= TOP_K_ERROR
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_prefix_integrals_non_decreasing_in_depth(p):
+    # Ky Fan: level n is a partial trace of level n+1, so its top-k mass is at
+    # most the top-2k mass one level up
+    fam = q.step_family(q.measure_state(q.log_power_density(p), 400), 400)
+    for m in (1, 2, 5, 9):
+        values = [q.prefix_integral(fam, n, m) for n in range(m, 401)]
+        assert all(b >= a - 2 * TOP_K_ERROR for a, b in zip(values, values[1:])), m
+
+
+@pytest.mark.parametrize("depth", (200, 900))
+def test_deep_p2_moduli_equal_closed_form(depth):
+    state = q.measure_state(q.log_power_density(2), depth)
+    profile = q.ui_profile(q.step_family(state, depth), [0.5, 0.25, 0.1], depth)
+    for e in profile.entries:
+        # the prefix mass of [0, 2^-m) is 1/(1 + m ln 2) <= delta at m >= (1/delta - 1) log2 e
+        assert e.modulus == math.ceil((1 / e.delta - 1) * math.log2(math.e))
+        assert e.epsilon == 2.0**-e.modulus
+    # nothing was materialised on the way
+    assert not state._cache and not state._spectra
+
+
+def test_deep_profile_refuses_an_uncertified_modulus():
+    state = q.measure_state(q.log_power_density(3), 30)
+    fam = q.step_family(state, 30)
+    sup = max(q.prefix_integral(fam, n, 2) for n in range(2, 31))
+    with pytest.raises(DimensionCapError, match="within"):
+        q.ui_profile(fam, [0.5, sup + TOP_K_ERROR / 2], 30)
+    clear = q.ui_profile(fam, [sup + 4 * TOP_K_ERROR], 30)
+    assert clear.entries[0].modulus == 2
+    # at a materialisable depth the same comparison is decided as before
+    shallow = q.ui_profile(q.step_family(state, 24), [sup], 24)
+    assert shallow.entries[0].modulus is not None
+
+
+def test_deep_cap_raises_dimension_cap_error():
+    state = q.measure_state(q.log_power_density(3), 10**6)
+    assert state.top_k_mass(CLOSED_FORM_QUBIT_CAP, 1) > 0
+    for n in (CLOSED_FORM_QUBIT_CAP + 1, 5000, 10**6):
+        with pytest.raises(DimensionCapError):
+            state.top_k_mass(n, 1)
+    with pytest.raises(BadDimensionError, match="k=0"):
+        state.top_k_mass(40, 0)
+
+
+def test_deep_measure_state_caps_only_materialised_queries():
+    state = q.measure_state(q.log_power_density(2), 60)
+    for query in (
+        lambda: state.density(25),
+        lambda: state.entropy(25),
+        lambda: q.check_coherence(state, 25),
+        lambda: state.eigensystem(25),  # where a builder's emitted term comes from
+    ):
+        with pytest.raises(DimensionCapError):
+            query()
+    # a scan that would reach past the cap is refused before it materialises anything
+    for scan in (q.entropy_profile, q.check_coherence):
+        with pytest.raises(DimensionCapError):
+            scan(state, 30)
+    assert not state._cache
+    custom = q.measure_state(lambda word: 2.0 ** -len(word), 40)
+    with pytest.raises(DimensionCapError):
+        custom.density(25)
+
+
+def test_builders_on_measure_states_materialise_only_emitted_levels():
+    state = q.measure_state(q.log_power_density(3), 20)
+    outcome = q.build_ui_test(state, 0.1, 6, 20)
+    emitted = {t.qubits for t in outcome.test.seq.terms}
+    assert emitted
+    assert set(state._cache) == emitted == set(state._spectra)
+
+
+def test_concurrent_queries_share_one_state():
+    # the split memo behind the search is shared by every thread using the state
+    queries = [(n, m) for m in (1, 3, 6) for n in range(m, 301)]
+    expected = [q.measure_state(q.log_power_density(3), 300).top_k_mass(n, 1 << (n - m))
+                for n, m in queries]
+    state = q.measure_state(q.log_power_density(3), 300)
+    results, interval = {}, sys.getswitchinterval()
+
+    def work(t):
+        order = queries[::-1] if t % 2 else queries
+        results[t] = {nm: state.top_k_mass(nm[0], 1 << (nm[0] - nm[1])) for nm in order}
+
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(results) == 6
+    for got in results.values():
+        assert all(abs(got[nm] - e) <= TOP_K_ERROR for nm, e in zip(queries, expected))
+
+
+def test_prefix_integral_rejects_bad_orders_and_depths():
+    fam = q.step_family(q.tracial_state(5), 5)
+    arrays = q.StepFamily(spectra={n: fam.member(n) for n in (3, 4)})
+    for f in (fam, arrays):
+        with pytest.raises(ValueError, match="m=-1"):
+            q.prefix_integral(f, 3, -1)
+        with pytest.raises(BadDimensionError, match="depth 9"):
+            q.prefix_integral(f, 9, 2)
+    with pytest.raises(BadDimensionError, match="depth 2"):
+        arrays.member(2)
+    assert q.prefix_integral(arrays, 4, 0) == pytest.approx(1.0)
+
+
+def _cli(*argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(q.__file__).resolve().parents[1])}
+    return subprocess.run(
+        [sys.executable, "-m", "qubitlab.cli", *map(str, argv)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_cli_ui_profile_past_the_diagonal_cap(tmp_path):
+    out = tmp_path / "ui.csv"
+    proc = _cli("ui-profile", "--state", "builtin:measure(density=logpow3,n=200)",
+                "--depth", 200, "--out", out)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    assert [int(r[1]) for r in rows] == [2, 3, 5]
+    n = CLOSED_FORM_QUBIT_CAP + 1
+    proc = _cli("ui-profile", "--state", f"builtin:measure(density=logpow3,n={n})",
+                "--depth", n, "--out", tmp_path / "deep.csv")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "qubits" in proc.stderr

@@ -267,3 +267,29 @@ def test_validate_density_clips_tiny_negative(rng):
     spec = q.eigendecompose(d)
     assert spec.eigenvalues.min() >= 0.0
     assert spec.eigenvalues.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_shannon_entropy_bitwise_and_one_temporary():
+    import tracemalloc
+
+    def reference(p):  # the two-temporary expression it replaced
+        pp = p[p > 0.0]
+        return float(-(pp * np.log2(pp)).sum())
+
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        v = rng.dirichlet(np.ones(int(rng.integers(1, 3000))))
+        v[rng.random(v.size) < 0.3] = 0.0
+        v /= v.sum()
+        assert q.shannon_entropy(v) == reference(v)
+    masses = q.log_power_density(2).cylinder_masses(20)
+    assert q.shannon_entropy(masses) == reference(masses)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        q.shannon_entropy(masses)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * masses.nbytes, peak / masses.nbytes
