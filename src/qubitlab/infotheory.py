@@ -36,7 +36,7 @@ from .linalg import (
     qubit_count,
     shannon_entropy,
 )
-from .states import TOP_K_ERROR, DensitySpec, StateSequence
+from .states import TOP_K_ERROR, DensitySpec, StateSequence, _check_scan
 
 #: float dust absorbed when deciding whether one more pad step still fits
 MASS_SLACK = 1e-12
@@ -244,9 +244,15 @@ class StepFamily:
 
 
 def step_family(state: StateSequence, depth: int) -> StepFamily:
-    if depth > state.max_depth:
-        raise BadDimensionError(f"depth {depth} beyond max_depth {state.max_depth}")
+    """The state's step family, refused up front past the depth its masses reach."""
+    _check_depth(depth)
+    _check_scan(state, depth, top_k=True)
     return StepFamily(state=state, depth=depth)
+
+
+def _check_depth(depth: int) -> None:
+    if depth < 1:
+        raise BadDimensionError(f"depth {depth} is below 1")
 
 
 def prefix_integral(fam: StepFamily, n: int, m: int) -> float:
@@ -286,7 +292,8 @@ class UIProfile:
 def ui_profile(fam: StepFamily, deltas, depth: int) -> UIProfile:
     """Smallest m with sup_n prefix_integral(n, m) <= delta, for each delta.
 
-    The sups are taken in ascending m until every delta has its modulus.
+    Each delta must lie in (0, 1) and depth must be at least 1.  The sups
+    are taken in ascending m until every delta has its modulus.
     Past the diagonal cap each sup must clear every delta it decides by
     more than `TOP_K_ERROR`, the error of the masses it is read from, or
     DimensionCapError is raised: no modulus is returned uncertified.
@@ -295,10 +302,15 @@ def ui_profile(fam: StepFamily, deltas, depth: int) -> UIProfile:
     _finite(np.asarray(deltas), "delta")
     if not deltas:
         raise ValueError("empty delta grid")
+    if not all(0 < d < 1 for d in deltas):
+        raise ValueError(f"deltas must lie strictly between 0 and 1, got {deltas}")
+    _check_depth(depth)
     have = set(fam.depths)
     missing = [n for n in range(1, depth + 1) if n not in have]
     if missing:
         raise ValueError(f"step family lacks depths {missing}")
+    if fam.state is not None:
+        _check_scan(fam.state, depth, top_k=True)
     slack = TOP_K_ERROR if depth > DIAG_QUBIT_CAP else 0.0
     moduli: dict[float, int] = {}
     for m in range(1, depth + 1):

@@ -33,7 +33,7 @@ from .linalg import (
     top_k_projector,
     _finite,
 )
-from .states import StateSequence, block_checkpoint
+from .states import StateSequence, _materialise_cap, block_checkpoint
 
 
 class CertificateError(AssertionError):
@@ -338,30 +338,36 @@ def _scan(
     depth; the first n with an admissible rank k = rank_at(n, m) (None
     when inadmissible) and top-k mass above delta emits the top-k
     eigenprojector of level n, which must pass certified(m, n, rank).
-    Mass tests read the state's memoised histogram or spectrum; only an
-    emitted level is decomposed, and never twice.  Orders with no such
-    depth up to the cap are reported as exhausted.
+    Every order's mass test runs first, on the state's closed form,
+    histogram or memoised spectrum, so a plan that would emit past the
+    materialisation cap is refused before any level is decomposed; an
+    emitted level is decomposed once.  Orders with no such depth up to the
+    cap are reported as exhausted.
     """
     delta = float(as_fraction(delta))
     depth_cap = min(depth_cap, state.max_depth)
-    built: list[TestTerm] = []
+    plan: list[tuple[int, int, int]] = []
     exhausted: list[int] = []
     next_n = 1
     for m in range(1, terms + 1):
         for n in range(next_n, depth_cap + 1):
             k = rank_at(n, m)
-            if k is None:
-                continue
-            if state.top_k_mass(n, k) > delta:
+            if k is not None and state.top_k_mass(n, k) > delta:
+                plan.append((m, n, k))
+                next_n = n + 1
                 break
         else:
             exhausted.append(m)
-            continue
+    cap = _materialise_cap(state)
+    for m, n, _ in plan:
+        if n > cap:
+            raise DimensionCapError(f"order {m} would emit from depth {n}, past {cap} qubits")
+    built: list[TestTerm] = []
+    for m, n, k in plan:
         proj = top_k_projector(state.eigensystem(n), k)
         if not certified(m, n, proj.rank):
             raise CertificateError(f"order {m}: {what} at depth {n}")
         built.append(TestTerm(m=m, qubits=n, projector=proj))
-        next_n = n + 1
     test = QSTest(seq=ProjectionSequence(terms=tuple(built)), budget="geometric")
     return BuildOutcome(
         test=test, exhausted=tuple(exhausted), requested_terms=terms, depth_cap=depth_cap

@@ -152,6 +152,8 @@ class StateSequence:
     ):
         self.name = name
         self.max_depth = int(max_depth)
+        if self.max_depth < 1:
+            raise BadDimensionError(f"max_depth {max_depth} is below 1")
         self.representation = representation
         self.spec = spec
         self._generator = generator
@@ -313,13 +315,28 @@ class CoherenceReport:
         return None
 
 
-def _check_scan(state: StateSequence, depth: int) -> None:
-    """Refuse up front a scan of levels 1..depth that would fail part way."""
+def _materialise_cap(state: StateSequence) -> int:
+    """Deepest level of the state that can be materialised."""
+    return DIAG_QUBIT_CAP if state.representation == "diag" else dense_qubit_cap()
+
+
+def _check_scan(state: StateSequence, depth: int, *, top_k: bool = False) -> None:
+    """Refuse up front a scan of levels 1..depth that would fail part way.
+
+    The scan reads each level's entropy, or with ``top_k`` its top-k
+    masses.  A factored state answers either at any depth, closed-form
+    masses reach `CLOSED_FORM_QUBIT_CAP`, and anything else materialises.
+    """
     if depth > state.max_depth:
         raise BadDimensionError(f"depth {depth} beyond max_depth {state.max_depth}")
-    cap = DIAG_QUBIT_CAP if state.representation == "diag" else dense_qubit_cap()
-    if not state.has_factors and depth > cap:
-        raise DimensionCapError(f"depth {depth} needs levels materialised past {cap} qubits")
+    if top_k and state._top_k is not None:
+        cap = CLOSED_FORM_QUBIT_CAP
+    elif state.has_factors:
+        return
+    else:
+        cap = _materialise_cap(state)
+    if depth > cap:
+        raise DimensionCapError(f"depth {depth} needs levels past {cap} qubits")
 
 
 def entropy_profile(state: StateSequence, depth: int) -> EntropyProfile:
@@ -615,22 +632,31 @@ class DensitySpec:
         return np.clip(leaves, 0.0, None)
 
 
-#: deepest level with closed-form top-k masses: past it a cell's 2^-n width
-#: and a cell's 1/index leave the normal float range
-CLOSED_FORM_QUBIT_CAP = 1000
+#: deepest level with closed-form top-k masses.  Nothing leaves the float
+#: range at any depth; the cap bounds cost, since each query does arithmetic
+#: on n-bit cell indices (a UI profile at this depth takes about 1.3 s)
+CLOSED_FORM_QUBIT_CAP = 10_000
 #: absolute error bound on a closed-form top-k mass (p <= 100): each of its
 #: two antiderivative terms is within about (2p + 10) ulps, and a split taken
 #: at a comparison tie swaps cells whose masses agree to within _TIE
 TOP_K_ERROR = 1e-12
 #: log cell masses closer than this compare as a tie (their rounding is ~10 ulps)
 _TIE = 2.0**-46
+_LN2 = math.log(2.0)
+
+
+def _ratio(c: int, n: int) -> float:
+    """c / 2^n from the top 64 bits of c: within an ulp, 0.0 where it underflows."""
+    s = max(c.bit_length() - 64, 0)
+    return math.ldexp(c >> s, s - n)
 
 
 def _log_frac(i: int, n: int) -> float:
-    """ln(i / 2^n) without cancellation, for 0 < i <= 2^n <= 2^CLOSED_FORM_QUBIT_CAP."""
-    if 2 * i <= 1 << n:
-        return math.log(math.ldexp(i, -n))
-    return math.log1p(-math.ldexp((1 << n) - i, -n))
+    """ln(i / 2^n) without cancellation or leaving the float range, for 0 < i <= 2^n."""
+    if i <= 1 << (n - 1):
+        e = i.bit_length()  # i / 2^e lies in [1/2, 1)
+        return math.log(_ratio(i, e)) + (e - n) * _LN2
+    return math.log1p(-_ratio((1 << n) - i, n))
 
 
 def _log_power_top_k(p: float) -> Callable[[int, int], float]:
@@ -641,22 +667,29 @@ def _log_power_top_k(p: float) -> Callable[[int, int], float]:
     heavier than both neighbours), and the k heaviest cells are the first
     j plus the last k - j, of mass F(j/2^n) + 1 - F(1 - (k-j)/2^n).  The
     split j is searched over integer cell indices, comparing the logs of
-    2^n times the cell masses, which for cell i = [a, a + w) with
-    u = 1 - ln a are u^(1-p) expm1((1-p) log1p(-log1p(1/i) / u)), free of
-    cancellation.  The search starts at twice the split of (n-1, k/2),
-    which is where a UI profile's next query lands, and stops at a tie.
+    2^n times the cell masses.  For cell i = [a, a + w) with u = 1 - ln a
+    that is q ln u + ln(i expm1(t)) - ln a, t = q log1p(-log1p(1/i) / u):
+    every term keeps its relative precision, and from i = 2^60 on, i expm1(t)
+    is its first-order form -q/u, within a relative (|q| + 2) 2^-61.  The
+    search starts at twice the split of (n-1, k/2), which is where a UI
+    profile's next query lands, and stops at a tie.
     """
     q = 1.0 - p
-    valley = math.exp(q)
+    # floor(e^q 2^n) for the valley cell, in integers
+    valley_num, valley_den = math.exp(q).as_integer_ratio()
     # (n, k) -> split: only a search's starting guess, so racing threads cannot spoil a result
     splits: dict[tuple[int, int], int] = {}
 
     def log_cell(i: int, n: int) -> float:
         if i == 0:
-            return q * math.log1p(n * math.log(2.0)) + n * math.log(2.0)
+            return q * math.log1p(n * _LN2) + n * _LN2
         ln_a = _log_frac(i, n)
-        t = q * math.log1p(-math.log1p(1.0 / i) / (1.0 - ln_a))
-        return q * math.log1p(-ln_a) + math.log(math.ldexp(math.expm1(t), n))
+        u = 1.0 - ln_a
+        if i >> 60:
+            scaled = -q / u
+        else:
+            scaled = i * math.expm1(q * math.log1p(-math.log1p(1.0 / i) / u))
+        return q * math.log1p(-ln_a) + math.log(scaled) - ln_a
 
     def top_k(n: int, k: int) -> float:
         if n > CLOSED_FORM_QUBIT_CAP:
@@ -665,7 +698,7 @@ def _log_power_top_k(p: float) -> Callable[[int, int], float]:
         if not 1 <= k <= size:
             raise BadDimensionError(f"k={k} out of range 1..{size}")
         # the valley cell joins the run that stays monotone with it
-        c = min(int(math.ldexp(valley, n)), size - 1)
+        c = min((valley_num << n) // valley_den, size - 1)
         left = c + 1 if c == 0 or log_cell(c, n) <= log_cell(c - 1, n) else c
         lo, hi = max(0, k - (size - left)), min(k, left)
         end = hi  # the left run can grow no further

@@ -226,30 +226,48 @@ def log_power_entropy_integral_oracle(p: float) -> float:
         return float(-val / mpmath.log(2))
 
 
-def log_power_top_k_oracle(p: float, n: int, k: int) -> float:
+def log_power_top_k_oracle(p: float, n: int, k: int, *, direct: bool | None = None) -> float:
     """Top-k cell mass at depth n of the density (p-1)/(x (1 - ln x)^p), by mpmath.
 
     Cells are addressed by integer index i = [i/2^n, (i+1)/2^n), and each
-    mass is F((i+1)/2^n) - F(i/2^n) for F(x) = (1 - ln x)^(1-p), worked
-    with n*log10(2) + 60 digits so the difference keeps 50.  The density
-    falls to its one minimum at e^(1-p) and then rises, so the cell masses
-    fall and then rise, and the k heaviest cells are the first j plus the
-    last k - j.  The valley cell is found from e^(1-p) at full precision,
-    and j by plain bisection on exact-index mass comparisons.
+    mass is F((i+1)/2^n) - F(i/2^n) for F(x) = (1 - ln x)^(1-p).  The
+    direct form (the default to 300 qubits) works that difference with
+    n*log10(2) + 60 digits so it keeps 50.  Deeper, where those digits
+    make a 3000-qubit query take about 18 s, the same difference is
+    taken in its cancellation-free form u^(1-p) expm1((1-p)
+    log1p(-log1p(1/i) / u)), u = 1 - ln(i/2^n), at 60 digits, with
+    ln(i/2^n) read from the exact integer complement 2^n - i in the upper
+    half; the two forms are checked against each other where both run
+    (`test_closed_form.py::test_oracle_forms_agree`).  The density falls to its
+    one minimum at e^(1-p) and then rises, so the cell masses fall and then
+    rise, and the k heaviest cells are the first j plus the last k - j.
+    The valley cell is found from e^(1-p) at full precision, and j by plain
+    bisection on exact-index mass comparisons.
     """
     import mpmath
 
     size = 1 << n
-    with mpmath.workdps(int(n * 0.30103) + 60):
-        one = mpmath.mpf(1)
+    full = int(n * 0.30103) + 60
+    direct = n <= 300 if direct is None else direct
+    with mpmath.workdps(full):
+        c = min(int(mpmath.floor(mpmath.exp(1 - p) * size)), size - 1)
+    with mpmath.workdps(full if direct else 60):
+        q = 1 - mpmath.mpf(p)
+
+        def log_frac(i):
+            if direct or 2 * i <= size:
+                return mpmath.log(mpmath.mpf(i) / size)
+            return mpmath.log1p(-mpmath.mpf(size - i) / size)
 
         def F(i):
-            return 0 * one if i == 0 else (1 - mpmath.log(mpmath.mpf(i) / size)) ** (1 - p)
+            return 0 * q if i == 0 else (1 - log_frac(i)) ** q
 
         def mass(i):
-            return F(i + 1) - F(i)
+            if direct or i == 0:
+                return F(i + 1) - F(i)
+            u = 1 - log_frac(i)
+            return u**q * mpmath.expm1(q * mpmath.log1p(-mpmath.log1p(mpmath.mpf(1) / i) / u))
 
-        c = min(int(mpmath.floor(mpmath.exp(1 - p) * size)), size - 1)
         left = c + 1 if c == 0 or mass(c) <= mass(c - 1) else c
         lo, hi = max(0, k - (size - left)), min(k, left)
         while lo < hi:  # smallest j whose next left cell is no heavier than the last right one

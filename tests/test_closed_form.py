@@ -1,7 +1,7 @@
 """Closed-form top-k masses of log-power measure states, and UI profiles past 24 qubits.
 
 Expected values come from the materialised spectrum (depth <= 20), the
-mpmath oracle in `conftest.py` (depths 30-300), Ky Fan monotonicity and
+mpmath oracle in `conftest.py` (depths 30-3000), Ky Fan monotonicity and
 the closed-form p = 2 moduli; never from the closed form itself.
 """
 
@@ -10,12 +10,14 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qubitlab as q
+from qubitlab.cli import EXIT_VALIDATION, main
 from qubitlab.linalg import BadDimensionError, DimensionCapError
 from qubitlab.states import CLOSED_FORM_QUBIT_CAP, TOP_K_ERROR
 
@@ -48,6 +50,33 @@ def test_top_k_mass_matches_mpmath_oracle(p):
             assert abs(state.top_k_mass(n, k) - log_power_top_k_oracle(p, n, k)) <= TOP_K_ERROR
 
 
+@pytest.mark.parametrize("p", (1.5, 2, 3, 10, 100))
+def test_top_k_mass_matches_mpmath_oracle_past_the_float_range(p):
+    # past ~1,074 qubits a cell's width 2^-n and 1/index leave the float range
+    rng = np.random.default_rng(int(p))
+    state = q.measure_state(q.log_power_density(p), 3000)
+    shallow, deep = 1100, 3000
+    cases = [
+        (shallow, 1 << (shallow - 1)),
+        (shallow, 1 << (shallow - 7)),
+        (shallow, int(rng.integers(1, 1 << 29)) << (shallow - 29)),
+        (deep, 1),
+        (deep, 1 << (deep - 3)),
+        (deep, (1 << deep) - 1),
+    ]
+    for n, k in cases:
+        assert abs(state.top_k_mass(n, k) - log_power_top_k_oracle(p, n, k)) <= TOP_K_ERROR
+
+
+@pytest.mark.parametrize("p", (1.5, 3, 100))
+def test_oracle_forms_agree(p):
+    # the deep oracle's cancellation-free cell masses against the direct differences
+    for n in (30, 120):
+        for k in (1, 1 << (n - 1), 1 << (n - 5), (1 << n) - 3):
+            direct = log_power_top_k_oracle(p, n, k, direct=True)
+            assert abs(log_power_top_k_oracle(p, n, k, direct=False) - direct) <= 1e-15
+
+
 @pytest.mark.parametrize("p", (2, 3))
 def test_prefix_integrals_non_decreasing_in_depth(p):
     # Ky Fan: level n is a partial trace of level n+1, so its top-k mass is at
@@ -58,7 +87,7 @@ def test_prefix_integrals_non_decreasing_in_depth(p):
         assert all(b >= a - 2 * TOP_K_ERROR for a, b in zip(values, values[1:])), m
 
 
-@pytest.mark.parametrize("depth", (200, 900))
+@pytest.mark.parametrize("depth", (200, 900, 5000))
 def test_deep_p2_moduli_equal_closed_form(depth):
     state = q.measure_state(q.log_power_density(2), depth)
     profile = q.ui_profile(q.step_family(state, depth), [0.5, 0.25, 0.1], depth)
@@ -86,9 +115,16 @@ def test_deep_profile_refuses_an_uncertified_modulus():
 def test_deep_cap_raises_dimension_cap_error():
     state = q.measure_state(q.log_power_density(3), 10**6)
     assert state.top_k_mass(CLOSED_FORM_QUBIT_CAP, 1) > 0
-    for n in (CLOSED_FORM_QUBIT_CAP + 1, 5000, 10**6):
+    for n in (CLOSED_FORM_QUBIT_CAP + 1, 2 * CLOSED_FORM_QUBIT_CAP, 10**6):
+        start = time.perf_counter()
         with pytest.raises(DimensionCapError):
             state.top_k_mass(n, 1)
+        # a family or profile past the cap is refused before any query
+        with pytest.raises(DimensionCapError, match="qubits"):
+            q.step_family(state, n)
+        with pytest.raises(DimensionCapError, match="qubits"):
+            q.ui_profile(q.StepFamily(state=state, depth=n), [0.5], n)
+        assert time.perf_counter() - start < 1.0, n
     with pytest.raises(BadDimensionError, match="k=0"):
         state.top_k_mass(40, 0)
 
@@ -119,6 +155,17 @@ def test_builders_on_measure_states_materialise_only_emitted_levels():
     emitted = {t.qubits for t in outcome.test.seq.terms}
     assert emitted
     assert set(state._cache) == emitted == set(state._spectra)
+
+
+def test_builder_past_the_cap_is_refused_before_any_level_is_decomposed():
+    # the heaviest cell of level m has mass 1/(1 + m ln 2) > 1/100 for m < 143, so
+    # order m emits from depth m, and order 25 is the first past the 24-qubit cap
+    state = q.measure_state(q.log_power_density(2), 60)
+    start = time.perf_counter()
+    with pytest.raises(DimensionCapError, match="order 25 would emit from depth 25"):
+        q.build_ui_test(state, "1/100", 30, 60)
+    assert time.perf_counter() - start < 1.0
+    assert not state._cache and not state._spectra
 
 
 def test_concurrent_queries_share_one_state():
@@ -176,7 +223,12 @@ def test_cli_ui_profile_past_the_diagonal_cap(tmp_path):
     rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
     assert [int(r[1]) for r in rows] == [2, 3, 5]
     n = CLOSED_FORM_QUBIT_CAP + 1
-    proc = _cli("ui-profile", "--state", f"builtin:measure(density=logpow3,n={n})",
-                "--depth", n, "--out", tmp_path / "deep.csv")
+    argv = ["ui-profile", "--state", f"builtin:measure(density=logpow3,n={n})",
+            "--depth", n, "--out", tmp_path / "deep.csv"]
+    proc = _cli(*argv)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr and "qubits" in proc.stderr
+    start = time.perf_counter()
+    assert main(list(map(str, argv))) == EXIT_VALIDATION
+    assert time.perf_counter() - start < 1.0
+    assert not (tmp_path / "deep.csv").exists()

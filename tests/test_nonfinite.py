@@ -1,4 +1,4 @@
-"""NaN and infinities fail loudly at every public entry point."""
+"""NaN, infinities and out-of-range depths and deltas fail loudly at every public entry point."""
 
 import json
 import math
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import qubitlab as q
 from qubitlab.cli import EXIT_VALIDATION, main
-from qubitlab.linalg import MalformedOperatorError, WrongTraceError
+from qubitlab.linalg import BadDimensionError, MalformedOperatorError, WrongTraceError
 from qubitlab.serialize import (
     dump_json,
     matrix_from_json,
@@ -138,3 +138,43 @@ def test_cli_rejects_non_finite_input(tmp_path, capsys, bad):
                      "--out", str(out)]) == EXIT_VALIDATION
     assert not out.exists()
     assert all(line.startswith("error: ") for line in capsys.readouterr().err.splitlines())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-10**6, 0), st.one_of(
+    st.floats(max_value=0.0, allow_infinity=False), st.floats(min_value=1.0, allow_infinity=False)))
+def test_depths_below_one_and_deltas_outside_the_unit_interval_are_refused(depth, delta):
+    for build in (
+        lambda: q.tracial_state(depth),
+        lambda: q.block_state(depth),
+        lambda: q.pure_bitstring_state("0110", depth),
+        lambda: q.measure_state(q.log_power_density(2), depth),
+        lambda: q.tensor_power_state(q.DensityOperator.diagonal(np.array([0.75, 0.25])), depth),
+    ):
+        with pytest.raises(BadDimensionError, match="below 1"):
+            build()
+    state = q.measure_state(q.log_power_density(2), 40)
+    with pytest.raises(BadDimensionError, match="below 1"):
+        q.step_family(state, depth)
+    arrays = q.StepFamily(spectra={1: np.array([0.5, 0.5])})
+    with pytest.raises(BadDimensionError, match="below 1"):
+        q.ui_profile(arrays, [0.5], depth)
+    fam = q.step_family(state, 40)
+    with pytest.raises(ValueError, match="strictly between 0 and 1"):
+        q.ui_profile(fam, [0.5, delta], 40)
+
+
+@pytest.mark.parametrize("args", [
+    ("--depth", "0"),
+    ("--depth", "-3"),
+    ("--deltas", "1.5"),
+    ("--deltas", "0,-1"),
+    ("--deltas", "0.5,1"),
+])
+def test_cli_ui_profile_rejects_bad_depths_and_deltas(tmp_path, capsys, args):
+    out = tmp_path / "ui.csv"
+    for state in ("builtin:measure(density=logpow2,n=30)", "builtin:tracial"):
+        assert main(["ui-profile", "--state", state, *args, "--out", str(out)]) == EXIT_VALIDATION
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: ") for line in err)

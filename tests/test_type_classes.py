@@ -127,9 +127,10 @@ def test_emitted_level_past_the_diagonal_cap_still_raises():
     state = q.StateSequence("two-markers", 40, representation="diag", factors=factors)
     assert q.check_coherence(state, 40).passed
     assert state.top_k_mass(25, 1 << 23) == 1.0
-    with pytest.raises(DimensionCapError):
+    with pytest.raises(DimensionCapError, match="order 2 would emit from depth 25"):
         q.build_ui_test(state, "1/2", 2, 40)
-    assert set(state._cache) == {1}
+    # refused before order 1's level is materialised
+    assert not state._cache
 
 
 def test_factored_entropy_is_the_left_to_right_sum_of_factor_entropies():
