@@ -44,7 +44,7 @@ for d in deltas:
     print(f"  delta={d}: closed form m = {math.ceil((1 / d - 1) * math.log2(math.e))}")
 
 print("\nlog-power measure states have closed-form top-k masses, so the profile")
-print("runs far past the 24-qubit materialisation cap (to 10,000 qubits, nothing")
+print("runs far past the 24-qubit materialisation cap (to 100,000 qubits, nothing")
 print("materialised).  The left tail alone has prefix mass (1 + m ln 2)^(1-p) <= delta")
 print("at m >= (delta^(1/(1-p)) - 1) log2 e; the rise of the density near x = 1 can")
 print("add mass on top, so the true modulus is that closed form or a little more:")

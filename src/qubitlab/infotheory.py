@@ -245,7 +245,6 @@ class StepFamily:
 
 def step_family(state: StateSequence, depth: int) -> StepFamily:
     """The state's step family, refused up front past the depth its masses reach."""
-    _check_depth(depth)
     _check_scan(state, depth, top_k=True)
     return StepFamily(state=state, depth=depth)
 

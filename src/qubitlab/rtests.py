@@ -266,6 +266,8 @@ def evaluate_failure(
     condition.
     """
     delta = float(_finite(np.asarray(delta, dtype=float), "delta"))
+    if depth < 0:
+        raise BadDimensionError(f"depth {depth} is below 0")
     ms, weights = [], []
     for t in test.seq.up_to(depth):
         if t.qubits > state.max_depth:
@@ -334,6 +336,7 @@ def _scan(
 ) -> BuildOutcome:
     """The one depth scan behind every builder.
 
+    delta must lie in (0, 1), and depth_cap and terms must be at least 1.
     For each order m the depth n climbs strictly above the previous term's
     depth; the first n with an admissible rank k = rank_at(n, m) (None
     when inadmissible) and top-k mass above delta emits the top-k
@@ -345,6 +348,11 @@ def _scan(
     cap are reported as exhausted.
     """
     delta = float(as_fraction(delta))
+    if not 0 < delta < 1:
+        raise ValueError(f"delta must lie strictly between 0 and 1, got {delta}")
+    for name, value in (("depth", depth_cap), ("terms", terms)):
+        if value < 1:
+            raise BadDimensionError(f"{name} {value} is below 1")
     depth_cap = min(depth_cap, state.max_depth)
     plan: list[tuple[int, int, int]] = []
     exhausted: list[int] = []

@@ -327,6 +327,8 @@ def _check_scan(state: StateSequence, depth: int, *, top_k: bool = False) -> Non
     masses.  A factored state answers either at any depth, closed-form
     masses reach `CLOSED_FORM_QUBIT_CAP`, and anything else materialises.
     """
+    if depth < 1:
+        raise BadDimensionError(f"depth {depth} is below 1")
     if depth > state.max_depth:
         raise BadDimensionError(f"depth {depth} beyond max_depth {state.max_depth}")
     if top_k and state._top_k is not None:
@@ -632,10 +634,10 @@ class DensitySpec:
         return np.clip(leaves, 0.0, None)
 
 
-#: deepest level with closed-form top-k masses.  Nothing leaves the float
-#: range at any depth; the cap bounds cost, since each query does arithmetic
-#: on n-bit cell indices (a UI profile at this depth takes about 1.3 s)
-CLOSED_FORM_QUBIT_CAP = 10_000
+#: deepest level with closed-form top-k masses, and the depth to which they
+#: are checked against an mpmath oracle.  A query costs the same at any depth
+#: (a UI profile at this depth takes about 5 s on a 2-core x86-64 VM)
+CLOSED_FORM_QUBIT_CAP = 100_000
 #: absolute error bound on a closed-form top-k mass (p <= 100): each of its
 #: two antiderivative terms is within about (2p + 10) ulps, and a split taken
 #: at a comparison tie swaps cells whose masses agree to within _TIE
@@ -643,20 +645,34 @@ TOP_K_ERROR = 1e-12
 #: log cell masses closer than this compare as a tie (their rounding is ~10 ulps)
 _TIE = 2.0**-46
 _LN2 = math.log(2.0)
+#: a deeper level's split is searched on a grid of 2^_GRID_BITS points
+_GRID_BITS = 62
 
 
-def _ratio(c: int, n: int) -> float:
-    """c / 2^n from the top 64 bits of c: within an ulp, 0.0 where it underflows."""
-    s = max(c.bit_length() - 64, 0)
-    return math.ldexp(c >> s, s - n)
+def _log_frac(x: int, n: int, frac: float = 0.0) -> float:
+    """ln((x + frac) / 2^n) without cancellation, for 0 < x + frac <= 2^n and n <= 62."""
+    if x <= 1 << (n - 1):
+        if frac:
+            x += frac
+            e = math.frexp(x)[1]  # x / 2^e lies in [1/2, 1)
+        else:
+            e = x.bit_length()
+        return math.log(math.ldexp(x, -e)) + (e - n) * _LN2
+    c = (1 << n) - x
+    return math.log1p(-math.ldexp(c - frac if frac else c, -n))
 
 
-def _log_frac(i: int, n: int) -> float:
-    """ln(i / 2^n) without cancellation or leaving the float range, for 0 < i <= 2^n."""
-    if i <= 1 << (n - 1):
-        e = i.bit_length()  # i / 2^e lies in [1/2, 1)
-        return math.log(_ratio(i, e)) + (e - n) * _LN2
-    return math.log1p(-_ratio((1 << n) - i, n))
+def _grid(k: int, s: int) -> tuple[int, float, float]:
+    """k / 2^s as x + f, with f and 1 - f each to a relative 2^-53.
+
+    f is read from the top 64 bits of k mod 2^s, so the cost does not grow
+    with k.
+    """
+    x = k >> s
+    t = max(min(s, k.bit_length()) - 64, 0)
+    low = (k >> t) - (x << (s - t))
+    f = math.ldexp(low, t - s)
+    return x, f, math.ldexp((1 << (s - t)) - low, t - s) if s - t <= 64 else 1.0 - f
 
 
 def _log_power_top_k(p: float) -> Callable[[int, int], float]:
@@ -666,63 +682,119 @@ def _log_power_top_k(p: float) -> Callable[[int, int], float]:
     the cell masses fall and then rise (the cell holding the minimum is no
     heavier than both neighbours), and the k heaviest cells are the first
     j plus the last k - j, of mass F(j/2^n) + 1 - F(1 - (k-j)/2^n).  The
-    split j is searched over integer cell indices, comparing the logs of
-    2^n times the cell masses.  For cell i = [a, a + w) with u = 1 - ln a
-    that is q ln u + ln(i expm1(t)) - ln a, t = q log1p(-log1p(1/i) / u):
-    every term keeps its relative precision, and from i = 2^60 on, i expm1(t)
-    is its first-order form -q/u, within a relative (|q| + 2) 2^-61.  The
-    search starts at twice the split of (n-1, k/2), which is where a UI
+    split j is searched comparing the logs of 2^n times the cell masses.
+    For cell i = [a, a + w) with u = 1 - ln a that is
+    q ln u + ln(i expm1(t)) - ln a, t = q log1p(-log1p(1/i) / u): every
+    term keeps its relative precision, and from i = 2^60 on, i expm1(t) is
+    its first-order form -q/u, within a relative (|q| + 2) 2^-61.
+
+    Past 62 qubits the split is searched over multiples of 2^(n-62) cells,
+    with k, the valley and the run ends held as such a multiple plus a
+    float fraction of one, so a query does the same small-integer and float
+    work at any depth.  Missing the split by one grid step moves cells of
+    total mass at most 2(p-1) 2^-62 between the runs, or F(2^-62) <= 1e-17
+    in the first step, where the split can lie only for p > 11.36.  Up to
+    62 qubits the grid is the cells themselves and every index is an exact
+    integer.
+
+    The search starts at twice the split of (n-1, k/2), which is where a UI
     profile's next query lands, and stops at a tie.
     """
     q = 1.0 - p
+    valley = math.exp(q)
     # floor(e^q 2^n) for the valley cell, in integers
-    valley_num, valley_den = math.exp(q).as_integer_ratio()
-    # (n, k) -> split: only a search's starting guess, so racing threads cannot spoil a result
+    valley_num, valley_den = valley.as_integer_ratio()
+    # (n, k on the grid) -> split on the grid: only a search's starting guess,
+    # so racing threads cannot spoil a result
     splits: dict[tuple[int, int], int] = {}
 
-    def log_cell(i: int, n: int) -> float:
-        if i == 0:
-            return q * math.log1p(n * _LN2) + n * _LN2
-        ln_a = _log_frac(i, n)
+    def log_cell(x: int, frac: float, g: int, s: int) -> float:
+        """Log of 2^n times the mass of the cell starting at grid point x + frac."""
+        if not (x or frac):
+            return q * math.log1p((g + s) * _LN2) + (g + s) * _LN2
+        ln_a = _log_frac(x, g, frac)
         u = 1.0 - ln_a
-        if i >> 60:
+        if (x.bit_length() if x else math.frexp(frac)[1]) + s > 60:
             scaled = -q / u
         else:
+            i = math.ldexp(x + frac, s) if s else x
             scaled = i * math.expm1(q * math.log1p(-math.log1p(1.0 / i) / u))
         return q * math.log1p(-ln_a) + math.log(scaled) - ln_a
 
     def top_k(n: int, k: int) -> float:
         if n > CLOSED_FORM_QUBIT_CAP:
             raise DimensionCapError(f"closed-form masses stop at {CLOSED_FORM_QUBIT_CAP} qubits")
-        size = 1 << n
-        if not 1 <= k <= size:
-            raise BadDimensionError(f"k={k} out of range 1..{size}")
+        bits = k.bit_length()
+        if k < 1 or bits > n + 1 or (bits == n + 1 and k != 1 << n):
+            shown = k if bits <= 64 else f"2^{bits - 1}+"
+            raise BadDimensionError(f"k={shown} out of range 1..2^{n}")
+        # grid points g bits wide, each 2^s cells: k = kx + kf grid points
+        s = max(n - _GRID_BITS, 0)
+        if bits < s - 960:
+            # k/2^n < 2^-1022, where the density exceeds p - 1 >= its bound on
+            # the right run (p <= 100): the first k cells are the heaviest
+            t = max(bits - 64, 0)
+            ln_a = math.log(math.ldexp(k >> t, t - bits)) + (bits - n) * _LN2
+            return math.exp(q * math.log1p(-ln_a))
+        g = n - s
+        size = 1 << g
+        kx, kf, kc = _grid(k, s)
         # the valley cell joins the run that stays monotone with it
-        c = min((valley_num << n) // valley_den, size - 1)
-        left = c + 1 if c == 0 or log_cell(c, n) <= log_cell(c - 1, n) else c
-        lo, hi = max(0, k - (size - left)), min(k, left)
-        end = hi  # the left run can grow no further
+        if s:
+            # its two cells' log masses differ by rounding alone here, a
+            # third-order amount in the cell width, so they compare as equal
+            v = math.ldexp(valley, g) + math.ldexp(1.0, -s)
+            lx, lf = int(v), v - int(v)
+        else:
+            c = min((valley_num << n) // valley_den, size - 1)
+            lx, lf = (c + 1 if c == 0 or log_cell(c, 0.0, g, 0) <= log_cell(c - 1, 0.0, g, 0)
+                      else c), 0.0
+        # the split lies between lo = max(0, k - (size - left)) and hi = min(k, left)
+        lox, lof = kx - size + lx, kf + lf
+        if lof >= 1.0:
+            lox, lof = lox + 1, lof - 1.0
+        if lox < 0:
+            lox, lof = 0, 0.0
+        hix, hif = (kx, kf) if (kx, kf) <= (lx, lf) else (lx, lf)
+        lo, hi = lox, hix + (hif > 0.0)
+        first, end = lo, hi  # the left run can grow no further than end
+
+        def point(j: int) -> tuple[int, float]:
+            return (lox, lof) if j == first else (hix, hif) if j == end else (j, 0.0)
+
+        def right(x: int, frac: float) -> tuple[int, float]:
+            # the last right cell when the left run ends at grid point x + frac
+            f = frac - kf
+            return (size - kx + x, f) if f >= 0.0 else (size - kx + x - 1, frac + kc)
+
         # gallop from the guess while the split stays on one side, then bisect
-        guess = splits.pop((n - 1, k >> 1), None)
-        j = lo if guess is None else min(max(lo, 2 * guess), hi)
+        shift = 0 if s else 1
+        guess = splits.pop((n - 1, kx >> shift), None)
+        j = lo if guess is None else min(max(lo, guess << shift), hi)
         step, way = 1, 0
         while lo < hi:
             # the split lies above j when the next left cell outweighs the last right one
-            d = -1.0 if j == end else log_cell(j, n) - log_cell(size - k + j, n)
+            if j == end:
+                d = -1.0
+            else:
+                x, frac = point(j)
+                d = log_cell(x, frac, g, s) - log_cell(*right(x, frac), g, s)
             if abs(d) <= _TIE:
                 break
-            s = 1 if d > 0 else -1
-            lo, hi = (j + 1, hi) if s > 0 else (lo, j)
-            if way in (0, s):
-                way, j, step = s, min(max(j + s * step, lo), hi), 2 * step
+            sign = 1 if d > 0 else -1
+            lo, hi = (j + 1, hi) if sign > 0 else (lo, j)
+            if way in (0, sign):
+                way, j, step = sign, min(max(j + sign * step, lo), hi), 2 * step
             else:
                 way, j = 2, (lo + hi) // 2
         else:
             j = lo
         if len(splits) < 1 << 12:
-            splits[(n, k)] = j
-        head = math.exp(q * math.log1p(-_log_frac(j, n))) if j else 0.0
-        return head - math.expm1(q * math.log1p(-_log_frac(size - k + j, n)))
+            splits[(n, kx)] = j
+        x, frac = point(j)
+        xr, fr = right(x, frac)
+        head = math.exp(q * math.log1p(-_log_frac(x, g, frac))) if x or frac else 0.0
+        return head - math.expm1(q * math.log1p(-_log_frac(xr, g, fr)))
 
     return top_k
 

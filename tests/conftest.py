@@ -232,48 +232,88 @@ def log_power_top_k_oracle(p: float, n: int, k: int, *, direct: bool | None = No
     Cells are addressed by integer index i = [i/2^n, (i+1)/2^n), and each
     mass is F((i+1)/2^n) - F(i/2^n) for F(x) = (1 - ln x)^(1-p).  The
     direct form (the default to 300 qubits) works that difference with
-    n*log10(2) + 60 digits so it keeps 50.  Deeper, where those digits
-    make a 3000-qubit query take about 18 s, the same difference is
+    n*log10(2) + 60 digits so it keeps 50.  Deeper, the same difference is
     taken in its cancellation-free form u^(1-p) expm1((1-p)
     log1p(-log1p(1/i) / u)), u = 1 - ln(i/2^n), at 60 digits, with
     ln(i/2^n) read from the exact integer complement 2^n - i in the upper
     half; the two forms are checked against each other where both run
-    (`test_closed_form.py::test_oracle_forms_agree`).  The density falls to its
-    one minimum at e^(1-p) and then rises, so the cell masses fall and then
-    rise, and the k heaviest cells are the first j plus the last k - j.
-    The valley cell is found from e^(1-p) at full precision, and j by plain
-    bisection on exact-index mass comparisons.
+    (`test_closed_form.py::test_oracle_forms_agree`).  Integers enter mpmath
+    cut to their top bits, so a 100,000-qubit query takes well under a second.
+
+    The density falls to its one minimum at e^(1-p) and then rises, so the
+    cell masses fall and then rise, and the k heaviest cells are the first
+    j plus the last k - j.  The valley cell is found from e^(1-p) at the
+    working precision (its neighbours' masses agree far beyond it).  The
+    split j is the root of ln(left cell mass / right cell mass) over a real
+    cell index, found by mpmath's Anderson-Bjorck bracketing solver in
+    ln(index), and rounded up to an integer.  Exact-index comparisons then
+    confirm, to 50 digits, that the left cell at j - d is no lighter than
+    its right partner and the one at j + d - 1 no heavier, for
+    d = max(1, j / 2^160): the split to the cell where the precision
+    resolves it, and beyond that to 2^-160 of j, which moves the result by
+    far less than 1e-16.  Near the valley, where the masses agree to more
+    than 50 digits, any split gives the same result.
     """
     import mpmath
 
     size = 1 << n
-    full = int(n * 0.30103) + 60
     direct = n <= 300 if direct is None else direct
-    with mpmath.workdps(full):
-        c = min(int(mpmath.floor(mpmath.exp(1 - p) * size)), size - 1)
-    with mpmath.workdps(full if direct else 60):
+    with mpmath.workdps(int(n * 0.30103) + 60 if direct else 60):
         q = 1 - mpmath.mpf(p)
+        keep = mpmath.mp.prec + 20
 
-        def log_frac(i):
-            if direct or 2 * i <= size:
-                return mpmath.log(mpmath.mpf(i) / size)
-            return mpmath.log1p(-mpmath.mpf(size - i) / size)
+        def real(i):
+            # an int is cut to its top bits first, which mpmath converts in constant time
+            if not isinstance(i, int):
+                return i
+            e = max(i.bit_length() - keep, 0)
+            return mpmath.ldexp(i >> e, e)
 
-        def F(i):
-            return 0 * q if i == 0 else (1 - log_frac(i)) ** q
+        def log_frac(i, comp):  # ln(i / 2^n), given comp = 2^n - i
+            x = mpmath.ldexp(real(i), -n)
+            if direct or x <= 0.5:
+                return mpmath.log(x)
+            return mpmath.log1p(-mpmath.ldexp(real(comp), -n))
 
-        def mass(i):
+        def F(i, comp):
+            return 0 * q if i == 0 else (1 - log_frac(i, comp)) ** q
+
+        def mass(i, comp):
             if direct or i == 0:
-                return F(i + 1) - F(i)
-            u = 1 - log_frac(i)
-            return u**q * mpmath.expm1(q * mpmath.log1p(-mpmath.log1p(mpmath.mpf(1) / i) / u))
+                return F(i + 1, comp - 1) - F(i, comp)
+            u = 1 - log_frac(i, comp)
+            return u**q * mpmath.expm1(q * mpmath.log1p(-mpmath.log1p(1 / real(i)) / u))
 
-        left = c + 1 if c == 0 or mass(c) <= mass(c - 1) else c
+        # real-valued split points use these in place of the exact integers
+        whole, rest, top = real(size), real(size - k), real(k)
+
+        def log_ratio(t):  # ln(left cell t mass / mass of the last right cell of a split at t)
+            if isinstance(t, int):
+                return mpmath.log(mass(t, size - t) / mass(size - k + t, k - t))
+            return mpmath.log(mass(t, whole - t) / mass(rest + t, top - t))
+
+        def heavier(t):
+            return log_ratio(t) > 0
+
+        c = min(int(mpmath.floor(mpmath.ldexp(mpmath.exp(1 - p), n))), size - 1)
+        left = c + 1 if c == 0 or mass(c, size - c) <= mass(c - 1, size - c + 1) else c
         lo, hi = max(0, k - (size - left)), min(k, left)
-        while lo < hi:  # smallest j whose next left cell is no heavier than the last right one
-            j = (lo + hi) // 2
-            if mass(j) > mass(size - k + j):
-                lo = j + 1
-            else:
-                hi = j
-        return float(F(lo) + 1 - F(size - k + lo))
+        a = max(lo, 1)  # the log-scale root search starts at index 1
+        if lo == hi or not heavier(lo):
+            j = lo
+        elif not heavier(a):
+            j = a
+        elif heavier(hi - 1):
+            j = hi
+        else:
+            # bisect ln(index) until the bracket is one cell or 2^-170 of its end wide
+            lo_t, hi_t = mpmath.log(a), mpmath.log(hi - 1)
+            while mpmath.exp(hi_t) - mpmath.exp(lo_t) > max(1, mpmath.ldexp(mpmath.exp(lo_t), -170)):
+                mid = (lo_t + hi_t) / 2
+                lo_t, hi_t = (mid, hi_t) if log_ratio(mpmath.exp(mid)) > 0 else (lo_t, mid)
+            j = int(mpmath.ceil(mpmath.exp(lo_t)))
+            j += heavier(j)  # the root lies within a cell past lo_t
+            d, tol = max(1, j >> 160), mpmath.mpf(10) ** -50
+            assert log_ratio(max(j - d, a)) > -tol and log_ratio(min(j + d - 1, hi - 1)) < tol, (
+                p, n, k)
+        return float(F(j, size - j) + 1 - F(size - k + j, k - j))

@@ -175,6 +175,43 @@ def test_validation_failure_exit_code(tmp_path):
     assert code == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("args", [
+    ("--kind", "ui", "--state", "builtin:tracial(n=10)", "--depth", "0", "--delta", "1/2"),
+    ("--kind", "ui", "--state", "builtin:tracial(n=10)", "--depth", "10", "--terms", "-2"),
+    ("--kind", "s", "--state", "builtin:tracial(n=10)", "--depth", "10", "--terms", "0"),
+    ("--kind", "deficiency", "--state", "builtin:tracial(n=10)", "--depth", "10", "--delta", "2"),
+    ("--kind", "ui", "--state", "builtin:block", "--delta", "0"),
+    ("--kind", "ui", "--state", "builtin:block", "--delta", "1"),
+])
+def test_cli_build_test_rejects_degenerate_input(tmp_path, capsys, args):
+    out = tmp_path / "t.json"
+    assert main(["build-test", *args, "--out", str(out)]) == EXIT_VALIDATION
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_cli_entropy_profile_names_a_depth_below_one(tmp_path, capsys):
+    out = tmp_path / "profile.csv"
+    code = run("entropy-profile", "--state", "builtin:block(n=10)", "--depth", 0, "--out", out)
+    assert code == EXIT_VALIDATION
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines() == ["error: depth 0 is below 1"]
+
+
+def test_cli_evaluate_rejects_negative_terms(tmp_path, capsys):
+    test_path = tmp_path / "test.json"
+    state = "builtin:pure(bits=0110100110,n=10)"
+    code = run("build-test", "--kind", "ui", "--state", state, "--terms", 3, "--depth", 10,
+               "--out", test_path)
+    assert code == EXIT_OK
+    out = tmp_path / "eval.csv"
+    assert run("evaluate", "--state", state, "--test", test_path, "--terms", -1,
+               "--out", out) == EXIT_VALIDATION
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines() == ["error: depth -1 is below 0"]
+
+
 def test_replay_determinism(tmp_path):
     args = (
         "entropy-profile", "--state", "builtin:measure(density=logpow3,n=12)",

@@ -1,8 +1,8 @@
 """Closed-form top-k masses of log-power measure states, and UI profiles past 24 qubits.
 
 Expected values come from the materialised spectrum (depth <= 20), the
-mpmath oracle in `conftest.py` (depths 30-3000), Ky Fan monotonicity and
-the closed-form p = 2 moduli; never from the closed form itself.
+mpmath oracle in `conftest.py` (depths 30-100,000), Ky Fan monotonicity
+and the closed-form p = 2 moduli; never from the closed form itself.
 """
 
 import math
@@ -66,6 +66,18 @@ def test_top_k_mass_matches_mpmath_oracle_past_the_float_range(p):
     ]
     for n, k in cases:
         assert abs(state.top_k_mass(n, k) - log_power_top_k_oracle(p, n, k)) <= TOP_K_ERROR
+
+
+@pytest.mark.parametrize("p", (1.5, 3, 100))
+def test_top_k_mass_matches_mpmath_oracle_to_the_cap(p):
+    # past 62 qubits the split is searched on a grid of 2^(n-62)-cell steps, so
+    # powers of two and odd ks both above and below one step
+    state = q.measure_state(q.log_power_density(p), CLOSED_FORM_QUBIT_CAP)
+    for n in (20_000, 50_000, 100_000):
+        ks = [1 << (n - 1), 1 << (n - 5), 1 << (n - 100), (1 << (n - 3)) + 1, (1 << n) // 3,
+              (1 << (n - 300)) // 3, 3, (1 << n) - 1]
+        for k in ks:
+            assert abs(state.top_k_mass(n, k) - log_power_top_k_oracle(p, n, k)) <= 1e-15, (n, k)
 
 
 @pytest.mark.parametrize("p", (1.5, 3, 100))

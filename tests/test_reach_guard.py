@@ -2,8 +2,8 @@
 
 `perfbench/` climbs `ui-profile` on the log-power-3 measure state one rung
 at a time.  This test runs rungs of that same function from past 24
-qubits to near the 10,000-qubit closed-form cap, each within its 5 s
-budget, and checks that the first rung past that cap raises
+qubits to 40,000, each within its 5 s budget, and checks that the first
+rung past the closed-form cap (`CLOSED_FORM_QUBIT_CAP`) raises
 DimensionCapError and nothing else, within 1 s, which the ladder records
 as a `cap` stop rather than an `error`.  It only reads `perfbench/`.
 """
@@ -27,7 +27,7 @@ def test_cli_session_rungs_pass_the_diagonal_cap(tmp_path, monkeypatch):
     import workloads
 
     inp = workloads.build_inputs("cli-session", worker.DIGEST_SEED, False)
-    for n in (25, 99, 205, 2000, 9000):
+    for n in (25, 99, 205, 2000, 9000, 40000):
         start = time.perf_counter()
         workloads.rung("cli-session", inp, n, str(tmp_path))
         assert time.perf_counter() - start < 5.0, n
