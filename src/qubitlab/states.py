@@ -707,11 +707,13 @@ def _log_power_top_k(p: float) -> Callable[[int, int], float]:
     # (n, k on the grid) -> split on the grid: only a search's starting guess,
     # so racing threads cannot spoil a result
     splits: dict[tuple[int, int], int] = {}
+    # n -> end of the left run, for the levels that compare the valley cells
+    lefts: dict[int, int] = {}
 
-    def log_cell(x: int, frac: float, g: int, s: int) -> float:
-        """Log of 2^n times the mass of the cell starting at grid point x + frac."""
+    def cell(x: int, frac: float, g: int, s: int) -> tuple[float | None, float]:
+        """ln a and the log of 2^n times the mass of the cell [a, a + 2^-n) at grid point x + frac."""
         if not (x or frac):
-            return q * math.log1p((g + s) * _LN2) + (g + s) * _LN2
+            return None, q * math.log1p((g + s) * _LN2) + (g + s) * _LN2
         ln_a = _log_frac(x, g, frac)
         u = 1.0 - ln_a
         if (x.bit_length() if x else math.frexp(frac)[1]) + s > 60:
@@ -719,7 +721,16 @@ def _log_power_top_k(p: float) -> Callable[[int, int], float]:
         else:
             i = math.ldexp(x + frac, s) if s else x
             scaled = i * math.expm1(q * math.log1p(-math.log1p(1.0 / i) / u))
-        return q * math.log1p(-ln_a) + math.log(scaled) - ln_a
+        return ln_a, q * math.log1p(-ln_a) + math.log(scaled) - ln_a
+
+    def left_end(n: int) -> int:
+        # the valley cell joins the run that stays monotone with it
+        hit = lefts.get(n)
+        if hit is None:
+            c = min((valley_num << n) // valley_den, (1 << n) - 1)
+            hit = lefts[n] = (
+                c + 1 if c == 0 or cell(c, 0.0, n, 0)[1] <= cell(c - 1, 0.0, n, 0)[1] else c)
+        return hit
 
     def top_k(n: int, k: int) -> float:
         if n > CLOSED_FORM_QUBIT_CAP:
@@ -739,16 +750,14 @@ def _log_power_top_k(p: float) -> Callable[[int, int], float]:
         g = n - s
         size = 1 << g
         kx, kf, kc = _grid(k, s)
-        # the valley cell joins the run that stays monotone with it
         if s:
-            # its two cells' log masses differ by rounding alone here, a
-            # third-order amount in the cell width, so they compare as equal
+            # the valley cell and its left neighbour differ in log mass by a
+            # third-order amount in the cell width, far below rounding, so they
+            # compare as equal and the valley cell joins the left run
             v = math.ldexp(valley, g) + math.ldexp(1.0, -s)
             lx, lf = int(v), v - int(v)
         else:
-            c = min((valley_num << n) // valley_den, size - 1)
-            lx, lf = (c + 1 if c == 0 or log_cell(c, 0.0, g, 0) <= log_cell(c - 1, 0.0, g, 0)
-                      else c), 0.0
+            lx, lf = left_end(n), 0.0
         # the split lies between lo = max(0, k - (size - left)) and hi = min(k, left)
         lox, lof = kx - size + lx, kf + lf
         if lof >= 1.0:
@@ -759,26 +768,25 @@ def _log_power_top_k(p: float) -> Callable[[int, int], float]:
         lo, hi = lox, hix + (hif > 0.0)
         first, end = lo, hi  # the left run can grow no further than end
 
-        def point(j: int) -> tuple[int, float]:
-            return (lox, lof) if j == first else (hix, hif) if j == end else (j, 0.0)
-
-        def right(x: int, frac: float) -> tuple[int, float]:
-            # the last right cell when the left run ends at grid point x + frac
+        def logs(j: int) -> tuple[tuple[float | None, float], tuple[float | None, float]]:
+            # the next left cell and the last right cell when the left run ends at grid point j
+            x, frac = (lox, lof) if j == first else (hix, hif) if j == end else (j, 0.0)
             f = frac - kf
-            return (size - kx + x, f) if f >= 0.0 else (size - kx + x - 1, frac + kc)
+            xr, fr = (size - kx + x, f) if f >= 0.0 else (size - kx + x - 1, frac + kc)
+            return cell(x, frac, g, s), cell(xr, fr, g, s)
 
         # gallop from the guess while the split stays on one side, then bisect
         shift = 0 if s else 1
         guess = splits.pop((n - 1, kx >> shift), None)
         j = lo if guess is None else min(max(lo, guess << shift), hi)
-        step, way = 1, 0
+        step, way, seen = 1, 0, None
         while lo < hi:
             # the split lies above j when the next left cell outweighs the last right one
             if j == end:
                 d = -1.0
             else:
-                x, frac = point(j)
-                d = log_cell(x, frac, g, s) - log_cell(*right(x, frac), g, s)
+                seen = j, logs(j)
+                d = seen[1][0][1] - seen[1][1][1]
             if abs(d) <= _TIE:
                 break
             sign = 1 if d > 0 else -1
@@ -791,10 +799,9 @@ def _log_power_top_k(p: float) -> Callable[[int, int], float]:
             j = lo
         if len(splits) < 1 << 12:
             splits[(n, kx)] = j
-        x, frac = point(j)
-        xr, fr = right(x, frac)
-        head = math.exp(q * math.log1p(-_log_frac(x, g, frac))) if x or frac else 0.0
-        return head - math.expm1(q * math.log1p(-_log_frac(xr, g, fr)))
+        (ln_left, _), (ln_right, _) = seen[1] if seen and seen[0] == j else logs(j)
+        head = math.exp(q * math.log1p(-ln_left)) if ln_left is not None else 0.0
+        return head - math.expm1(q * math.log1p(-ln_right))
 
     return top_k
 
