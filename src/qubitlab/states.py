@@ -707,8 +707,6 @@ def _log_power_top_k(p: float) -> Callable[[int, int], float]:
     # (n, k on the grid) -> split on the grid: only a search's starting guess,
     # so racing threads cannot spoil a result
     splits: dict[tuple[int, int], int] = {}
-    # n -> end of the left run, for the levels that compare the valley cells
-    lefts: dict[int, int] = {}
 
     def cell(x: int, frac: float, g: int, s: int) -> tuple[float | None, float]:
         """ln a and the log of 2^n times the mass of the cell [a, a + 2^-n) at grid point x + frac."""
@@ -722,15 +720,6 @@ def _log_power_top_k(p: float) -> Callable[[int, int], float]:
             i = math.ldexp(x + frac, s) if s else x
             scaled = i * math.expm1(q * math.log1p(-math.log1p(1.0 / i) / u))
         return ln_a, q * math.log1p(-ln_a) + math.log(scaled) - ln_a
-
-    def left_end(n: int) -> int:
-        # the valley cell joins the run that stays monotone with it
-        hit = lefts.get(n)
-        if hit is None:
-            c = min((valley_num << n) // valley_den, (1 << n) - 1)
-            hit = lefts[n] = (
-                c + 1 if c == 0 or cell(c, 0.0, n, 0)[1] <= cell(c - 1, 0.0, n, 0)[1] else c)
-        return hit
 
     def top_k(n: int, k: int) -> float:
         if n > CLOSED_FORM_QUBIT_CAP:
@@ -750,14 +739,17 @@ def _log_power_top_k(p: float) -> Callable[[int, int], float]:
         g = n - s
         size = 1 << g
         kx, kf, kc = _grid(k, s)
+        # the valley cell joins the run that stays monotone with it
         if s:
-            # the valley cell and its left neighbour differ in log mass by a
-            # third-order amount in the cell width, far below rounding, so they
-            # compare as equal and the valley cell joins the left run
+            # it and its left neighbour differ in log mass by a third-order
+            # amount in the cell width, far below rounding, so they compare as
+            # equal and it joins the left run
             v = math.ldexp(valley, g) + math.ldexp(1.0, -s)
             lx, lf = int(v), v - int(v)
         else:
-            lx, lf = left_end(n), 0.0
+            c = min((valley_num << n) // valley_den, size - 1)
+            lx, lf = (c + 1 if c == 0 or cell(c, 0.0, g, 0)[1] <= cell(c - 1, 0.0, g, 0)[1]
+                      else c), 0.0
         # the split lies between lo = max(0, k - (size - left)) and hi = min(k, left)
         lox, lof = kx - size + lx, kf + lf
         if lof >= 1.0:
@@ -779,14 +771,14 @@ def _log_power_top_k(p: float) -> Callable[[int, int], float]:
         shift = 0 if s else 1
         guess = splits.pop((n - 1, kx >> shift), None)
         j = lo if guess is None else min(max(lo, guess << shift), hi)
-        step, way, seen = 1, 0, None
+        step, way, at = 1, 0, None
         while lo < hi:
             # the split lies above j when the next left cell outweighs the last right one
             if j == end:
                 d = -1.0
             else:
-                seen = j, logs(j)
-                d = seen[1][0][1] - seen[1][1][1]
+                at, ((ln_left, left), (ln_right, right)) = j, logs(j)
+                d = left - right
             if abs(d) <= _TIE:
                 break
             sign = 1 if d > 0 else -1
@@ -799,7 +791,8 @@ def _log_power_top_k(p: float) -> Callable[[int, int], float]:
             j = lo
         if len(splits) < 1 << 12:
             splits[(n, kx)] = j
-        (ln_left, _), (ln_right, _) = seen[1] if seen and seen[0] == j else logs(j)
+        if at != j:
+            (ln_left, _), (ln_right, _) = logs(j)
         head = math.exp(q * math.log1p(-ln_left)) if ln_left is not None else 0.0
         return head - math.expm1(q * math.log1p(-ln_right))
 
