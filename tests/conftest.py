@@ -245,9 +245,10 @@ def log_power_top_k_oracle(p: float, n: int, k: int, *, direct: bool | None = No
     j plus the last k - j.  The valley cell is found from e^(1-p) at the
     working precision (its neighbours' masses agree far beyond it).  The
     split j is the root of ln(left cell mass / right cell mass) over a real
-    cell index, found by mpmath's Anderson-Bjorck bracketing solver in
-    ln(index), and rounded up to an integer.  Exact-index comparisons then
-    confirm, to 50 digits, that the left cell at j - d is no lighter than
+    cell index, bracketed by bisection in ln(index) to one cell or 2^-170
+    of the index, so a deep query takes about 200 steps rather than n, and
+    rounded up to an integer.  Exact-index comparisons then confirm, to
+    50 digits, that the left cell at j - d is no lighter than
     its right partner and the one at j + d - 1 no heavier, for
     d = max(1, j / 2^160): the split to the cell where the precision
     resolves it, and beyond that to 2^-160 of j, which moves the result by
