@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 input/validation failure, 3 a builder exhausted
 its depth search for at least one order, 4 a reproduce bundle check
-failed.  Identical arguments and seed produce byte-identical files.
+failed.  Identical arguments produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -113,9 +113,8 @@ def load_state(text: str, default_depth: int = 20):
 
 
 def cmd_entropy_profile(args) -> int:
-    state = load_state(args.state, args.depth)
-    depth = min(args.depth, state.max_depth)
-    profile = entropy_profile(state, depth)
+    depth = args.depth
+    profile = entropy_profile(load_state(args.state, depth), depth)
     window = args.window or max(1, depth // 4)
     est = entropy_rate_estimate(profile, min(window, depth))
     experiment = {"cmd": "entropy-profile", "state": args.state, "depth": depth, "window": window}
@@ -193,10 +192,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_ui_profile(args) -> int:
-    state = load_state(args.state, args.depth)
-    depth = min(args.depth, state.max_depth)
+    depth = args.depth
     deltas = [float(x) for x in args.deltas.split(",")]
-    fam = step_family(state, depth)
+    fam = step_family(load_state(args.state, depth), depth)
     profile = ui_profile(fam, deltas, depth)
     experiment = {"cmd": "ui-profile", "state": args.state, "depth": depth, "deltas": deltas}
     rows = [
@@ -478,16 +476,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, depth=20):
+    def common(p):
         p.add_argument("--state", required=True, help="builtin:name(params) or a JSON file")
-        p.add_argument("--depth", type=int, default=depth, help="depth / search cap")
+        p.add_argument("--depth", type=int, default=20, help="depth / search cap")
         p.add_argument("--out", required=True, help="output path")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
 
     p = sub.add_parser("entropy-profile", help="per-depth entropy table")
     common(p)
     p.add_argument("--window", type=int, default=0, help="trailing window (default depth/4)")
+    p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=cmd_entropy_profile)
 
     p = sub.add_parser("build-test", help="extract a projection test from a state")

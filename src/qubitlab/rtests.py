@@ -24,16 +24,19 @@ import numpy as np
 
 from .dyadic import as_fraction, rank_ceil, rank_floor
 from .linalg import (
+    DIAG_QUBIT_CAP,
     BadDimensionError,
     DensityOperator,
     DimensionCapError,
     Projection,
     projection_weight,
     tau_weight,
+    tensor,
     top_k_projector,
+    von_neumann_entropy,
     _finite,
 )
-from .states import StateSequence, _materialise_cap, block_checkpoint
+from .states import StateSequence, block_checkpoint
 
 
 class CertificateError(AssertionError):
@@ -221,11 +224,14 @@ def _grouped_factor_weight(
 
     State factors may be finer than the projection's blocks; they are
     kron-merged until the qubit boundaries line up.  Raises when a state
-    factor straddles a block boundary.
+    factor straddles a block boundary, and before any merge when a block
+    is wider than `DIAG_QUBIT_CAP` qubits.
     """
     it = iter(state_factors)
     weight = 1.0
     for q, idx in proj_factors:
+        if q > DIAG_QUBIT_CAP:
+            raise DimensionCapError(f"a {q}-qubit block exceeds diagonal cap {DIAG_QUBIT_CAP}")
         buf: np.ndarray | None = None
         bufq = 0
         while bufq < q:
@@ -233,10 +239,10 @@ def _grouped_factor_weight(
                 v = next(it)
             except StopIteration:
                 raise BadDimensionError("state factors shorter than projection") from None
-            buf = v if buf is None else np.kron(buf, v)
             bufq += int(v.size).bit_length() - 1
-        if bufq != q:
-            raise BadDimensionError("factor boundaries do not align")
+            if bufq > q:
+                raise BadDimensionError("factor boundaries do not align")
+            buf = v if buf is None else np.kron(buf, v)
         weight *= float(buf[idx].sum())
     if next(it, None) is not None:
         raise BadDimensionError("state factors longer than projection")
@@ -366,10 +372,10 @@ def _scan(
                 break
         else:
             exhausted.append(m)
-    cap = _materialise_cap(state)
     for m, n, _ in plan:
-        if n > cap:
-            raise DimensionCapError(f"order {m} would emit from depth {n}, past {cap} qubits")
+        if n > DIAG_QUBIT_CAP:
+            raise DimensionCapError(
+                f"order {m} would emit from depth {n}, past {DIAG_QUBIT_CAP} qubits")
     built: list[TestTerm] = []
     for m, n, k in plan:
         proj = top_k_projector(state.eigensystem(n), k)
@@ -515,13 +521,7 @@ def pad_to_multiple(g: Projection, k: int) -> Projection:
     if g.factors is not None:
         return Projection.from_factors(tuple(g.factors) + ((pad, np.arange(1 << pad)),))
     ident = np.eye(1 << pad, dtype=complex)
-    from .linalg import tensor as _tensor
-
-    return Projection(qubits=g.qubits + pad, matrix=_tensor(g.matrix, ident))
-
-
-#: eigenvalue vectors of tensor powers are materialised up to this many qubits
-EIG_VECTOR_QUBIT_CAP = 24
+    return Projection(qubits=g.qubits + pad, matrix=tensor(g.matrix, ident))
 
 
 def typical_subspace_decay(d: DensityOperator, rate, depth: int) -> DecayCurve:
@@ -533,8 +533,6 @@ def typical_subspace_decay(d: DensityOperator, rate, depth: int) -> DecayCurve:
     and the call is refused.
     """
     rate = as_fraction(rate)
-    from .linalg import von_neumann_entropy
-
     h = von_neumann_entropy(d)
     if float(rate) >= h - 1e-12:
         raise ValueError(f"rate {float(rate)} is not below the entropy {h:.6f}")
@@ -542,7 +540,7 @@ def typical_subspace_decay(d: DensityOperator, rate, depth: int) -> DecayCurve:
         base = np.sort(d.probs.astype(float))[::-1]
     else:
         base = np.sort(np.clip(np.linalg.eigvalsh(d.matrix), 0.0, None))[::-1]
-    if depth * d.qubits > EIG_VECTOR_QUBIT_CAP:
+    if depth * d.qubits > DIAG_QUBIT_CAP:
         raise DimensionCapError(
             f"eigenvalue vector would need 2^{depth * d.qubits} entries"
         )

@@ -52,13 +52,16 @@ def dump_json(path, obj) -> None:
 
 
 def state_to_json(state: StateSequence) -> dict:
-    out = {"name": state.name, "n_max": state.max_depth, "repr": state.representation}
+    """The state's recipe, else its per-level dump; ``repr`` is "diag" iff
+    every level read (level 1 of a recipe, all of a dump) is diagonal."""
+    out = {"name": state.name, "n_max": state.max_depth}
     if state.spec is not None:
+        levels = [state.density(1)]
         out["constructor"] = state.spec
     else:
-        out["per_n"] = [
-            matrix_to_json(state.density(n)) for n in range(1, state.max_depth + 1)
-        ]
+        levels = [state.density(n) for n in range(1, state.max_depth + 1)]
+        out["per_n"] = [matrix_to_json(d) for d in levels]
+    out["repr"] = "diag" if all(d.is_diagonal for d in levels) else "dense"
     return out
 
 

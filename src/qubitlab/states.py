@@ -41,6 +41,7 @@ from .linalg import (
     matrix_from_json,
     matrix_to_json,
     partial_trace_k,
+    partial_trace_last,
     shannon_entropy,
     tensor,
     top_k_sum,
@@ -127,11 +128,12 @@ def _level_histogram(n: int, parts: list[tuple[_FactorSummary, int]]) -> Spectru
 class StateSequence:
     """Lazy, memoised map from depth n to the n-qubit density operator.
 
-    ``generator`` must be deterministic and total on 1..max_depth (up to
-    representation caps).  ``factors``, when given, maps n to the list of
-    diagonal kron factors of level n; factored levels are exact at any
-    depth, and without a generator level n is materialised as the kron of
-    its factors (up to the diagonal cap).  Levels and their spectra are
+    A state needs a level source, and the source decides how a level is
+    held.  ``generator`` must be deterministic and total on 1..max_depth
+    (up to representation caps).  ``factors``, when given, maps n to the
+    list of diagonal kron factors of level n; factored levels are exact at
+    any depth, and without a generator level n is materialised as the kron
+    of its factors (up to the diagonal cap).  Levels and their spectra are
     memoised side by side, so each level is decomposed at most once; a
     dense level's eigenvectors then live as long as the sequence.  A
     factored level's spectrum is also memoised as a histogram, built from
@@ -146,7 +148,6 @@ class StateSequence:
         max_depth: int,
         generator: Callable[[int], DensityOperator] | None = None,
         *,
-        representation: str = "dense",
         factors: Callable[[int], list[np.ndarray]] | None = None,
         spec: dict | None = None,
     ):
@@ -154,7 +155,8 @@ class StateSequence:
         self.max_depth = int(max_depth)
         if self.max_depth < 1:
             raise BadDimensionError(f"max_depth {max_depth} is below 1")
-        self.representation = representation
+        if generator is None and factors is None:
+            raise ValueError(f"state {name!r} needs a generator or factors")
         self.spec = spec
         self._generator = generator
         self._factors = factors
@@ -174,16 +176,19 @@ class StateSequence:
         if not 1 <= n <= self.max_depth:
             raise BadDimensionError(f"depth {n} outside 1..{self.max_depth}")
 
+    def _memo(self, table: dict, n: int, make: Callable[[], object]):
+        """table[n], made outside the lock on a miss; every racer gets the stored value."""
+        with self._lock:
+            if n in table:
+                return table[n]
+        value = make()
+        with self._lock:
+            return table.setdefault(n, value)
+
     def density(self, n: int) -> DensityOperator:
         self._check_depth(n)
-        with self._lock:
-            hit = self._cache.get(n)
-        if hit is not None:
-            return hit
-        d = self._generator(n) if self._generator is not None else self._kron_factors(n)
-        with self._lock:
-            self._cache.setdefault(n, d)
-        return d
+        make = self._kron_factors if self._generator is None else self._generator
+        return self._memo(self._cache, n, lambda: make(n))
 
     def _kron_factors(self, n: int) -> DensityOperator:
         if n > DIAG_QUBIT_CAP:
@@ -205,13 +210,7 @@ class StateSequence:
 
     def eigensystem(self, n: int) -> Spectrum:
         """Memoised spectrum of level n (materialised levels only)."""
-        with self._lock:
-            hit = self._spectra.get(n)
-        if hit is not None:
-            return hit
-        s = eigendecompose(self.density(n))
-        with self._lock:
-            return self._spectra.setdefault(n, s)
+        return self._memo(self._spectra, n, lambda: eigendecompose(self.density(n)))
 
     def spectrum(self, n: int) -> np.ndarray:
         """Descending eigenvalues of level n (materialised levels only)."""
@@ -240,15 +239,14 @@ class StateSequence:
         self._check_depth(n)
         if self._factors is None:
             return None
-        with self._lock:
-            if n in self._histograms:
-                return self._histograms[n]
-        copies: dict[int, list] = {}
-        for f in self._factors(n):
-            copies.setdefault(id(f), [f, 0])[1] += 1
-        hist = _level_histogram(n, [(self._summary(f), c) for f, c in copies.values()])
-        with self._lock:
-            return self._histograms.setdefault(n, hist)
+
+        def make() -> SpectrumHistogram | None:
+            copies: dict[int, list] = {}
+            for f in self._factors(n):
+                copies.setdefault(id(f), [f, 0])[1] += 1
+            return _level_histogram(n, [(self._summary(f), c) for f, c in copies.values()])
+
+        return self._memo(self._histograms, n, make)
 
     def top_k_mass(self, n: int, k: int) -> float:
         """Sum of the k largest eigenvalues of level n: closed form, histogram or spectrum."""
@@ -315,17 +313,13 @@ class CoherenceReport:
         return None
 
 
-def _materialise_cap(state: StateSequence) -> int:
-    """Deepest level of the state that can be materialised."""
-    return DIAG_QUBIT_CAP if state.representation == "diag" else dense_qubit_cap()
-
-
 def _check_scan(state: StateSequence, depth: int, *, top_k: bool = False) -> None:
     """Refuse up front a scan of levels 1..depth that would fail part way.
 
     The scan reads each level's entropy, or with ``top_k`` its top-k
     masses.  A factored state answers either at any depth, closed-form
-    masses reach `CLOSED_FORM_QUBIT_CAP`, and anything else materialises.
+    masses reach `CLOSED_FORM_QUBIT_CAP`, and anything else materialises
+    its levels, which no form holds past `DIAG_QUBIT_CAP` qubits.
     """
     if depth < 1:
         raise BadDimensionError(f"depth {depth} is below 1")
@@ -336,7 +330,7 @@ def _check_scan(state: StateSequence, depth: int, *, top_k: bool = False) -> Non
     elif state.has_factors:
         return
     else:
-        cap = _materialise_cap(state)
+        cap = DIAG_QUBIT_CAP
     if depth > cap:
         raise DimensionCapError(f"depth {depth} needs levels past {cap} qubits")
 
@@ -406,13 +400,11 @@ def check_coherence(state: StateSequence, depth: int, tol: float = 1e-8) -> Cohe
             traced, scale = _factored_pt(state.diag_factors(n))
             dev = _factored_deviation(traced, state.diag_factors(n - 1), scale)
         else:
-            top, below = state.density(n), state.density(n - 1)
+            top, below = partial_trace_last(state.density(n)), state.density(n - 1)
             if top.is_diagonal and below.is_diagonal:
-                dev = _max_abs(_pt_diag(top.probs) - below.probs)
+                dev = _max_abs(top.probs - below.probs)
             else:
-                from .linalg import _pt_dense
-
-                dev = _max_abs(_pt_dense(top.dense_matrix()) - below.dense_matrix())
+                dev = _max_abs(top.dense_matrix() - below.dense_matrix())
         devs.append((n, dev))
     return CoherenceReport(name=state.name, tol=tol, deviations=tuple(devs))
 
@@ -427,10 +419,7 @@ def explicit_state(name: str, levels: Sequence[DensityOperator]) -> StateSequenc
         if d.qubits != i + 1:
             raise BadDimensionError(f"level {i + 1} has {d.qubits} qubits")
     ops = list(levels)
-    repr_hint = "diag" if all(d.is_diagonal for d in ops) else "dense"
-    return StateSequence(
-        name, len(ops), lambda n: ops[n - 1], representation=repr_hint, spec=None
-    )
+    return StateSequence(name, len(ops), lambda n: ops[n - 1])
 
 
 def tracial_state(max_depth: int) -> StateSequence:
@@ -439,7 +428,6 @@ def tracial_state(max_depth: int) -> StateSequence:
     return StateSequence(
         "tracial",
         max_depth,
-        representation="diag",
         factors=lambda n: [half] * n,
         spec={"kind": "tracial", "n_max": max_depth},
     )
@@ -472,7 +460,6 @@ def pure_bitstring_state(bits, max_depth: int, *, name: str | None = None) -> St
     return StateSequence(
         name or f"pure:{word[:8]}...",
         max_depth,
-        representation="diag",
         factors=lambda n: [e0 if c == "0" else e1 for c in word[:n]],
         spec={"kind": "pure", "bits": word, "n_max": max_depth},
     )
@@ -523,7 +510,6 @@ def block_state(max_depth: int) -> StateSequence:
     return StateSequence(
         "block",
         max_depth,
-        representation="diag",
         factors=lambda n: [factor(i) for i in _block_sizes(n)],
         spec={"kind": "block", "n_max": max_depth},
     )
@@ -544,7 +530,7 @@ def tensor_power_state(
             q, r = divmod(n, k)
             return [base] * q + ([tails[r]] if r else [])
 
-        return StateSequence(label, max_depth, representation="diag", factors=facs, spec=spec)
+        return StateSequence(label, max_depth, factors=facs, spec=spec)
     top = -(-max_depth // k) * k
     if top > dense_qubit_cap():
         raise DimensionCapError(
@@ -860,7 +846,7 @@ def measure_state(spec, max_depth: int, *, name: str | None = None) -> StateSequ
 
     else:
         raise TypeError("spec must be a DensitySpec or a cylinder-mass callable")
-    state = StateSequence(label, max_depth, gen, representation="diag", spec=replay)
+    state = StateSequence(label, max_depth, gen, spec=replay)
     state._top_k = getattr(spec, "_top_k", None)
     return state
 

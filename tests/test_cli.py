@@ -1,7 +1,11 @@
+import argparse
+import ast
+import inspect
 import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +16,7 @@ from qubitlab.cli import (
     EXIT_EXHAUSTED,
     EXIT_OK,
     EXIT_VALIDATION,
+    build_parser,
     load_state,
     log_power_entropy_integral,
     main,
@@ -210,6 +215,35 @@ def test_cli_evaluate_rejects_negative_terms(tmp_path, capsys):
                "--out", out) == EXIT_VALIDATION
     assert not out.exists()
     assert capsys.readouterr().err.splitlines() == ["error: depth -1 is below 0"]
+
+
+def test_every_cli_option_is_read_by_its_command():
+    # an option the command never reads is a setting that changes nothing
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    unread = []
+    for name, p in sub.choices.items():
+        tree = ast.parse(textwrap.dedent(inspect.getsource(p.get_default("func"))))
+        read = {
+            node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "args"
+        }
+        unread += [f"{name} {a.dest}" for a in p._actions if a.dest not in read | {"help"}]
+    assert unread == []
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("entropy-profile", "--seed"), ("build-test", "--seed"), ("evaluate", "--seed"),
+    ("ui-profile", "--seed"), ("build-test", "--format"), ("evaluate", "--format"),
+    ("ui-profile", "--format"),
+])
+def test_cli_refuses_options_its_command_does_not_read(tmp_path, command, flag):
+    value = "5" if flag == "--seed" else "json"
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--state", "builtin:tracial(n=4)", "--out", str(tmp_path / "x"),
+              flag, value])
+    assert exit_.value.code == EXIT_VALIDATION
 
 
 def test_replay_determinism(tmp_path):

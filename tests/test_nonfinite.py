@@ -164,6 +164,11 @@ def test_depths_below_one_and_deltas_outside_the_unit_interval_are_refused(depth
         q.ui_profile(fam, [0.5, delta], 40)
 
 
+def test_a_state_without_a_level_source_is_refused():
+    with pytest.raises(ValueError, match="needs a generator or factors"):
+        q.StateSequence("x", 4)
+
+
 @pytest.mark.parametrize("args", [
     ("--depth", "0"),
     ("--depth", "-3"),
@@ -178,3 +183,14 @@ def test_cli_ui_profile_rejects_bad_depths_and_deltas(tmp_path, capsys, args):
     assert not out.exists()
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and all(line.startswith("error: ") for line in err)
+
+
+@pytest.mark.parametrize("command", ["entropy-profile", "ui-profile"])
+def test_cli_profiles_refuse_a_depth_past_the_state(tmp_path, capsys, command):
+    out = tmp_path / "profile.csv"
+    state = "builtin:measure(density=logpow3,n=30)"
+    assert main([command, "--state", state, "--depth", "100", "--out", str(out)]) == (
+        EXIT_VALIDATION
+    )
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines() == ["error: depth 100 beyond max_depth 30"]

@@ -1,11 +1,12 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import qubitlab as q
-from qubitlab.linalg import BadDimensionError
+from qubitlab.linalg import BadDimensionError, DimensionCapError
 
 from conftest import binomial_top_sum_oracle, builder_plan_oracle, random_density_oracle
 
@@ -134,6 +135,20 @@ def test_evaluate_depth_mismatch():
     t = q.tracial_state(3)
     with pytest.raises(BadDimensionError):
         q.evaluate_failure(t, q.block_test_sequence(3), 0.5, 3)
+
+
+def test_state_weight_refuses_a_block_past_the_diagonal_cap_at_once():
+    # a basis projection on all 25 qubits would merge every tracial factor
+    # into one 2^25 vector; the merge and the fallback both refuse it at once
+    state = q.tracial_state(25)
+    start = time.perf_counter()
+    with pytest.raises(DimensionCapError):
+        q.state_weight(state, 25, q.Projection.from_basis(25, [0]))
+    assert time.perf_counter() - start < 1.0
+    assert not state._cache
+    shallow = q.tracial_state(20)
+    assert q.state_weight(shallow, 20, q.Projection.from_basis(20, [0, 7])) == 2.0**-19
+    assert not shallow._cache
 
 
 # --- deficiency builder ---------------------------------------------------------------

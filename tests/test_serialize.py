@@ -69,13 +69,18 @@ def test_registry_builtins_cover_every_kind():
 
 
 @pytest.mark.parametrize("kind", sorted(STATE_KINDS))
-def test_registry_cli_and_json_paths_agree(kind):
+def test_registry_cli_and_json_paths_agree(kind, rng):
     state = load_state(BUILTINS[kind])
     obj = state_to_json(state)
     assert obj["constructor"]["kind"] == kind
+    assert obj["repr"] == "diag"  # every builtin's levels are diagonal
     replayed = state_from_json(obj)
     for n in (1, 4, 8):
         assert np.array_equal(replayed.density(n).probs, state.density(n).probs)
+    if kind == "tensor_power":
+        # a non-diagonal factor gives dense levels, and the file says so
+        dense = q.tensor_power_state(random_density_oracle(rng, 2), 4)
+        assert state_to_json(dense)["repr"] == "dense"
 
 
 def test_registry_rejects_unknown_kind():
@@ -103,6 +108,16 @@ def test_state_per_level_dump(rng):
     replayed = state_from_json(obj)
     for n in (1, 2):
         assert np.abs(replayed.density(n).matrix - state.density(n).matrix).max() < 1e-12
+
+
+def test_per_level_dump_repr_says_whether_every_level_is_diagonal(rng):
+    diag = [q.DensityOperator.diagonal(np.array([0.5, 0.5])),
+            q.DensityOperator.diagonal(np.full(4, 0.25))]
+    assert state_to_json(q.explicit_state("diag", diag))["repr"] == "diag"
+    dense = [q.DensityOperator.dense(np.eye(2) / 2), diag[1]]
+    assert state_to_json(q.explicit_state("mixed", dense))["repr"] == "dense"
+    ramp = q.DensitySpec(density=lambda x: 2.0 * np.asarray(x, dtype=float), name="ramp")
+    assert state_to_json(q.measure_state(ramp, 4))["repr"] == "diag"
 
 
 def test_projection_roundtrips(rng):

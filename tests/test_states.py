@@ -246,13 +246,17 @@ def test_state_sequence_thread_safe_memoisation():
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(lambda _: s.density(12).probs.sum(), range(32)))
     assert all(r == results[0] for r in results)
-    # the spectrum memo of a materialised dense level: every racer gets the stored
+    # the level and spectrum memos: every racer gets the stored level or
     # spectrum; fresh states give the race several chances to show a lost update
     factor = random_density_oracle(np.random.default_rng(3), 2)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         for _ in range(10):
+            fresh = q.block_state(20)
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                levels = list(pool.map(lambda _: fresh.density(14), range(32), timeout=60))
+            assert all(d is levels[0] for d in levels)
             dense = q.tensor_power_state(factor, 6)
             with ThreadPoolExecutor(max_workers=8) as pool:
                 spectra = list(pool.map(lambda _: dense.spectrum(6), range(32), timeout=60))

@@ -11,6 +11,7 @@ import pytest
 import qubitlab as q
 from qubitlab.dyadic import rank_ceil, rank_floor
 from qubitlab.linalg import DimensionCapError, SpectrumHistogram
+from qubitlab.serialize import state_to_json
 from qubitlab.states import _power_histogram, _summarise
 
 from conftest import binomial_top_sum_oracle
@@ -124,13 +125,29 @@ def test_emitted_level_past_the_diagonal_cap_still_raises():
         head = [e0] + [half] * (min(n, 24) - 1)
         return head + ([e0] + [half] * (n - 25) if n >= 25 else [])
 
-    state = q.StateSequence("two-markers", 40, representation="diag", factors=factors)
+    state = q.StateSequence("two-markers", 40, factors=factors)
     assert q.check_coherence(state, 40).passed
     assert state.top_k_mass(25, 1 << 23) == 1.0
     with pytest.raises(DimensionCapError, match="order 2 would emit from depth 25"):
         q.build_ui_test(state, "1/2", 2, 40)
     # refused before order 1's level is materialised
     assert not state._cache
+
+
+def test_factors_alone_make_a_diagonal_state_past_the_dense_cap():
+    # a marker qubit at positions 1 and 14: given only `factors`, the levels
+    # are diagonal, so order 2 is emitted from depth 14, past the dense cap
+    e0, half = np.array([1.0, 0.0]), np.array([0.5, 0.5])
+
+    def factors(n):
+        head = [e0] + [half] * (min(n, 13) - 1)
+        return head + ([e0] + [half] * (n - 14) if n >= 14 else [])
+
+    state = q.StateSequence("marker-at-14", 16, factors=factors)
+    assert 14 > q.linalg.dense_qubit_cap()
+    out = q.build_ui_test(state, "1/2", 2, 16)
+    assert [t.qubits for t in out.test.seq.terms] == [1, 14] and out.complete
+    assert state_to_json(state)["repr"] == "diag"
 
 
 def test_factored_entropy_is_the_left_to_right_sum_of_factor_entropies():
@@ -190,7 +207,7 @@ def test_costly_type_classes_past_the_cap_still_raise_at_once():
             return [half] * n
         return [half] * (20 + n % 4) + [f16] * ((n - 20) // 4)
 
-    state = q.StateSequence("uniform-then-16", 60, representation="diag", factors=factors)
+    state = q.StateSequence("uniform-then-16", 60, factors=factors)
     start = time.perf_counter()
     with pytest.raises(DimensionCapError):
         q.build_ui_test(state, "1/2", 6, 60)
@@ -215,7 +232,7 @@ def test_factor_with_more_than_a_thousand_values():
 def test_summaries_are_dropped_with_their_factors():
     # a factors callable that builds new arrays on every call pins none of them
     state = q.StateSequence(
-        "fresh-arrays", 80, representation="diag",
+        "fresh-arrays", 80,
         factors=lambda n: [np.array([0.7, 0.3]) for _ in range(n)],
     )
     want = q.shannon_entropy(np.array([0.7, 0.3]))
