@@ -44,17 +44,17 @@ for d in deltas:
     print(f"  delta={d}: closed form m = {math.ceil((1 / d - 1) * math.log2(math.e))}")
 
 print("\nlog-power measure states have closed-form top-k masses, so the profile")
-print("runs far past the 24-qubit materialisation cap (to 100,000 qubits, nothing")
+print("runs far past the 24-qubit materialisation cap (to 500,000 qubits, nothing")
 print("materialised).  The left tail alone has prefix mass (1 + m ln 2)^(1-p) <= delta")
 print("at m >= (delta^(1/(1-p)) - 1) log2 e; the rise of the density near x = 1 can")
 print("add mass on top, so the true modulus is that closed form or a little more:")
 for p in (2, 3):
     closed = [math.ceil((d ** (1 / (1 - p)) - 1) * math.log2(math.e)) for d in deltas]
     print(f"  p={p} deltas={deltas}: closed form m = {closed}")
-    for depth in (200, 5000):
+    for depth in (200, 5000, 500_000):
         deep = q.measure_state(q.log_power_density(p), depth)
         profile = q.ui_profile(q.step_family(deep, depth), deltas, depth)
-        print(f"    depth {depth:>4}: moduli m = {[e.modulus for e in profile.entries]}")
+        print(f"    depth {depth:>7,}: moduli m = {[e.modulus for e in profile.entries]}")
 
 print()
 print("=" * 72)

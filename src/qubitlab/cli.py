@@ -171,7 +171,9 @@ def cmd_build_test(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    state = load_state(args.state, args.depth)
+    state = load_state(args.state, 20 if args.depth is None else args.depth)
+    if args.depth is not None and args.depth > state.max_depth:
+        raise ValueError(f"depth {args.depth} beyond max_depth {state.max_depth}")
     test = projection_test_from_json(json.loads(Path(args.test).read_text(encoding="utf-8")))
     depth = args.terms or (test.seq.m_max if test.seq.terms else 0)
     report = evaluate_failure(state, test, args.delta, depth)
@@ -502,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", required=True, help="test JSON file")
     p.add_argument("--delta", type=float, default=0.5)
     p.add_argument("--terms", type=int, default=0, help="orders to evaluate (default: all)")
-    p.set_defaults(func=cmd_evaluate)
+    p.set_defaults(func=cmd_evaluate, depth=None)  # unset: the state keeps its own depth
 
     p = sub.add_parser("ui-profile", help="uniform-integrability moduli per delta")
     common(p)

@@ -249,11 +249,6 @@ def step_family(state: StateSequence, depth: int) -> StepFamily:
     return StepFamily(state=state, depth=depth)
 
 
-def _check_depth(depth: int) -> None:
-    if depth < 1:
-        raise BadDimensionError(f"depth {depth} is below 1")
-
-
 def prefix_integral(fam: StepFamily, n: int, m: int) -> float:
     """Integral of member n over [0, 2^-m): the top 2^(n-m) eigenvalue mass."""
     if not 0 <= m <= n:
@@ -291,8 +286,12 @@ class UIProfile:
 def ui_profile(fam: StepFamily, deltas, depth: int) -> UIProfile:
     """Smallest m with sup_n prefix_integral(n, m) <= delta, for each delta.
 
-    Each delta must lie in (0, 1) and depth must be at least 1.  The sups
-    are taken in ascending m until every delta has its modulus.
+    Each delta must lie in (0, 1) and depth must be at least 1.  Orders m
+    are visited in ascending order until every delta has its modulus.  A
+    state's levels are assumed coherent (`check_coherence` verifies it), so
+    a rank-k projection P on level n lifts to P (x) I, of rank 2k, one level
+    up: by Ky Fan the sup over n is the value at n = depth, one query per
+    order.  A family of listed spectra takes the max over its members.
     Past the diagonal cap each sup must clear every delta it decides by
     more than `TOP_K_ERROR`, the error of the masses it is read from, or
     DimensionCapError is raised: no modulus is returned uncertified.
@@ -303,11 +302,14 @@ def ui_profile(fam: StepFamily, deltas, depth: int) -> UIProfile:
         raise ValueError("empty delta grid")
     if not all(0 < d < 1 for d in deltas):
         raise ValueError(f"deltas must lie strictly between 0 and 1, got {deltas}")
-    _check_depth(depth)
-    have = set(fam.depths)
-    missing = [n for n in range(1, depth + 1) if n not in have]
+    if depth < 1:
+        raise BadDimensionError(f"depth {depth} is below 1")
+    # a state-backed family holds every depth up to its own
+    missing = (range(fam.depth + 1, depth + 1) if fam.state is not None
+               else [n for n in range(1, depth + 1) if n not in fam.spectra])
     if missing:
-        raise ValueError(f"step family lacks depths {missing}")
+        shown = list(missing) if len(missing) <= 8 else f"[{missing[0]}, ..., {missing[-1]}]"
+        raise ValueError(f"step family lacks depths {shown}")
     if fam.state is not None:
         _check_scan(fam.state, depth, top_k=True)
     slack = TOP_K_ERROR if depth > DIAG_QUBIT_CAP else 0.0
@@ -316,7 +318,8 @@ def ui_profile(fam: StepFamily, deltas, depth: int) -> UIProfile:
         open_deltas = [d for d in deltas if d not in moduli]
         if not open_deltas:
             break
-        sup = max(prefix_integral(fam, n, m) for n in range(m, depth + 1))
+        ns = range(m, depth + 1) if fam.state is None else (depth,)
+        sup = max(prefix_integral(fam, n, m) for n in ns)
         for delta in open_deltas:
             if slack and abs(sup - delta) <= slack:
                 raise DimensionCapError(

@@ -414,7 +414,11 @@ def check_coherence(state: StateSequence, depth: int, tol: float = 1e-8) -> Cohe
 
 
 def explicit_state(name: str, levels: Sequence[DensityOperator]) -> StateSequence:
-    """Wrap an explicit list of per-depth operators (levels[i] has i+1 qubits)."""
+    """Wrap an explicit list of per-depth operators (levels[i] has i+1 qubits).
+
+    The levels are assumed coherent, each the partial trace of the next, as
+    `ui_profile` relies on; `check_coherence` verifies this.
+    """
     for i, d in enumerate(levels):
         if d.qubits != i + 1:
             raise BadDimensionError(f"level {i + 1} has {d.qubits} qubits")
@@ -620,10 +624,10 @@ class DensitySpec:
         return np.clip(leaves, 0.0, None)
 
 
-#: deepest level with closed-form top-k masses, and the depth to which they
-#: are checked against an mpmath oracle.  A query costs the same at any depth
-#: (a UI profile at this depth takes about 5 s on a 2-core x86-64 VM)
-CLOSED_FORM_QUBIT_CAP = 100_000
+#: deepest level with closed-form top-k masses: the depth to which they are
+#: checked against an mpmath oracle, not a bound on cost.  A query costs the
+#: same at any depth, and a UI profile makes one query per order it visits
+CLOSED_FORM_QUBIT_CAP = 500_000
 #: absolute error bound on a closed-form top-k mass (p <= 100): each of its
 #: two antiderivative terms is within about (2p + 10) ulps, and a split taken
 #: at a comparison tie swaps cells whose masses agree to within _TIE

@@ -48,6 +48,28 @@ def haar_projection_oracle(rng, qubits: int, rank: int) -> "q.Projection":
     return q.Projection(qubits=qubits, matrix=(p + p.conj().T) / 2)
 
 
+def ui_moduli_oracle(top: np.ndarray, deltas) -> list:
+    """Smallest m with sup over n >= m of the top 2^(n-m) eigenvalue mass <= delta.
+
+    The levels are the partial traces of the dense matrix ``top`` over its
+    last qubits, taken here by reshaping; each spectrum comes from
+    `numpy.linalg.eigvalsh`, and the sup runs over every level (no Ky Fan
+    shortcut).  None where no order up to the top depth reaches delta.
+    """
+    levels = {int(top.shape[0]).bit_length() - 1: np.asarray(top)}
+    while min(levels) > 1:
+        n = min(levels)
+        half = 1 << (n - 1)
+        levels[n - 1] = np.einsum("aibi->ab", levels[n].reshape(half, 2, half, 2))
+    spectra = {n: np.sort(np.linalg.eigvalsh(m))[::-1] for n, m in levels.items()}
+    depth = max(levels)
+    sup = {
+        m: max(math.fsum(spectra[n][: 1 << (n - m)].tolist()) for n in range(m, depth + 1))
+        for m in range(1, depth + 1)
+    }
+    return [next((m for m in sorted(sup) if sup[m] <= d), None) for d in deltas]
+
+
 def random_descending(rng, size: int, concentration: float = 1.0) -> np.ndarray:
     return np.sort(rng.dirichlet(np.full(size, concentration)))[::-1]
 
@@ -238,7 +260,7 @@ def log_power_top_k_oracle(p: float, n: int, k: int, *, direct: bool | None = No
     ln(i/2^n) read from the exact integer complement 2^n - i in the upper
     half; the two forms are checked against each other where both run
     (`test_closed_form.py::test_oracle_forms_agree`).  Integers enter mpmath
-    cut to their top bits, so a 100,000-qubit query takes well under a second.
+    cut to their top bits, so a 500,000-qubit query takes under a second.
 
     The density falls to its one minimum at e^(1-p) and then rises, so the
     cell masses fall and then rise, and the k heaviest cells are the first

@@ -21,6 +21,7 @@ from qubitlab.cli import (
     log_power_entropy_integral,
     main,
 )
+from qubitlab.serialize import dump_json, state_to_json
 
 
 #: the source root of the package under test, for fresh interpreters
@@ -215,6 +216,29 @@ def test_cli_evaluate_rejects_negative_terms(tmp_path, capsys):
                "--out", out) == EXIT_VALIDATION
     assert not out.exists()
     assert capsys.readouterr().err.splitlines() == ["error: depth -1 is below 0"]
+
+
+def test_cli_evaluate_refuses_a_depth_past_the_state(tmp_path, capsys):
+    state_path, test_path = tmp_path / "state.json", tmp_path / "test.json"
+    dump_json(state_path, state_to_json(q.tracial_state(10)))
+    assert run("build-test", "--kind", "ui", "--state", state_path, "--terms", 3,
+               "--depth", 10, "--delta", "1/10", "--out", test_path) == EXIT_OK
+    tables = []
+    for depth in (None, 3, 10):
+        out = tmp_path / f"eval-{depth}.csv"
+        depth_args = () if depth is None else ("--depth", depth)
+        assert run("evaluate", "--state", state_path, "--test", test_path, *depth_args,
+                   "--out", out) == EXIT_OK
+        tables.append(out.read_bytes())
+    assert tables[0] == tables[1] == tables[2]
+    capsys.readouterr()
+    for state, depth in ((state_path, 11), (state_path, 500), ("builtin:tracial(n=10)", 40)):
+        out = tmp_path / "refused.csv"
+        assert run("evaluate", "--state", state, "--test", test_path, "--depth", depth,
+                   "--out", out) == EXIT_VALIDATION
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: depth {depth} beyond max_depth 10"]
 
 
 def test_every_cli_option_is_read_by_its_command():

@@ -1,7 +1,7 @@
 """Closed-form top-k masses of log-power measure states, and UI profiles past 24 qubits.
 
 Expected values come from the materialised spectrum (depth <= 20), the
-mpmath oracle in `conftest.py` (depths 30-100,000), Ky Fan monotonicity
+mpmath oracle in `conftest.py` (depths 30-500,000), Ky Fan monotonicity
 and the closed-form p = 2 moduli; never from the closed form itself.
 """
 
@@ -73,7 +73,7 @@ def test_top_k_mass_matches_mpmath_oracle_to_the_cap(p):
     # past 62 qubits the split is searched on a grid of 2^(n-62)-cell steps, so
     # powers of two and odd ks both above and below one step
     state = q.measure_state(q.log_power_density(p), CLOSED_FORM_QUBIT_CAP)
-    for n in (20_000, 50_000, 100_000):
+    for n in (20_000, 50_000, 100_000, 200_000, 500_000):
         ks = [1 << (n - 1), 1 << (n - 5), 1 << (n - 100), (1 << (n - 3)) + 1, (1 << n) // 3,
               (1 << (n - 300)) // 3, 3, (1 << n) - 1]
         for k in ks:
@@ -99,7 +99,7 @@ def test_prefix_integrals_non_decreasing_in_depth(p):
         assert all(b >= a - 2 * TOP_K_ERROR for a, b in zip(values, values[1:])), m
 
 
-@pytest.mark.parametrize("depth", (200, 900, 5000))
+@pytest.mark.parametrize("depth", (200, 900, 5000, 500_000))
 def test_deep_p2_moduli_equal_closed_form(depth):
     state = q.measure_state(q.log_power_density(2), depth)
     profile = q.ui_profile(q.step_family(state, depth), [0.5, 0.25, 0.1], depth)
@@ -109,6 +109,46 @@ def test_deep_p2_moduli_equal_closed_form(depth):
         assert e.epsilon == 2.0**-e.modulus
     # nothing was materialised on the way
     assert not state._cache and not state._spectra
+
+
+def _oracle_moduli(p, n, deltas):
+    masses = {}
+    for m in range(1, n + 1):
+        masses[m] = log_power_top_k_oracle(p, n, 1 << (n - m))
+        if masses[m] <= min(deltas):
+            break
+    return [next(m for m in masses if masses[m] <= d) for d in deltas]
+
+
+def test_deep_profile_reads_one_mass_per_order():
+    # Ky Fan: each order's sup over depths is its value at the deepest level
+    depth, deltas = 100_000, [0.5, 0.25, 0.1]
+    state = q.measure_state(q.log_power_density(3), depth)
+    queries, closed_form = [], state._top_k
+
+    def counting(n, k):
+        m = n + 1 - k.bit_length()
+        queries.append((n, m) if k == 1 << (n - m) else (n, None))  # a UI query is k = 2^(n-m)
+        return closed_form(n, k)
+
+    state._top_k = counting
+    profile = q.ui_profile(q.step_family(state, depth), deltas, depth)
+    moduli = [e.modulus for e in profile.entries]
+    assert moduli == _oracle_moduli(3, depth, deltas)
+    assert queries == [(depth, m) for m in range(1, max(moduli) + 1)]
+
+
+def test_cli_ui_profile_at_the_cap(tmp_path):
+    out = tmp_path / "ui.csv"
+    n = CLOSED_FORM_QUBIT_CAP
+    start = time.perf_counter()
+    proc = _cli("ui-profile", "--state", f"builtin:measure(density=logpow3,n={n})",
+                "--depth", n, "--out", out)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    assert [int(r[1]) for r in rows] == _oracle_moduli(3, n, [0.5, 0.25, 0.1])
+    assert elapsed < 3.0  # a fresh interpreter; the profile itself is five queries
 
 
 def test_deep_profile_refuses_an_uncertified_modulus():

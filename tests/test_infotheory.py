@@ -8,7 +8,13 @@ from scipy.integrate import quad
 
 import qubitlab as q
 
-from conftest import entropy_oracle, flatten_scan_oracle, random_descending
+from conftest import (
+    entropy_oracle,
+    flatten_scan_oracle,
+    random_density_oracle,
+    random_descending,
+    ui_moduli_oracle,
+)
 
 
 # --- flattening -----------------------------------------------------------------
@@ -289,6 +295,40 @@ def test_ui_profile_rejects_depth_beyond_family():
     with pytest.raises(ValueError, match=r"lacks depths \[1, 2\]"):
         q.ui_profile(partial, [0.5], 5)
     assert q.ui_profile(fam, [0.5], 4).entries[0].modulus == 1  # shallower depths still fine
+
+
+def _dense_ui_cases():
+    rng = np.random.default_rng(11)
+    top = random_density_oracle(rng, 7)
+    levels = [top]
+    while levels[-1].qubits > 1:
+        levels.append(q.partial_trace_last(levels[-1]))
+    factor = random_density_oracle(rng, 2)
+    power = factor.dense_matrix()
+    for _ in range(3):
+        power = np.kron(power, factor.dense_matrix())
+    return {
+        "ginibre": (q.explicit_state("ginibre", levels[::-1]), top.dense_matrix()),
+        "power-dense": (q.tensor_power_state(factor, 8), power),
+    }
+
+
+@pytest.mark.parametrize("key", ["ginibre", "power-dense"])
+def test_ui_profile_moduli_equal_the_full_sup_oracle(key):
+    # a state-backed profile reads each sup at the deepest level only (Ky Fan);
+    # the oracle takes the sup over every level of its own partial traces
+    state, top = _dense_ui_cases()[key]
+    depth = state.max_depth
+    deltas = [0.9, 0.75, 0.5, 0.3, 0.2, 0.1, 0.05]
+    profile = q.ui_profile(q.step_family(state, depth), deltas, depth)
+    assert [e.modulus for e in profile.entries] == ui_moduli_oracle(top, deltas)
+
+
+def test_ui_profile_refuses_a_deep_request_at_once():
+    # a state-backed family checks its depth without listing every level
+    fam = q.step_family(q.tracial_state(5), 5)
+    with pytest.raises(ValueError, match=r"lacks depths \[6, \.\.\., 1000000000000\]"):
+        q.ui_profile(fam, [0.5], 10**12)
 
 
 # --- entropy gaps ------------------------------------------------------------------------------
