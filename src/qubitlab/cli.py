@@ -56,6 +56,7 @@ from .serialize import (
     write_csv,
 )
 from .states import (
+    block_checkpoint,
     block_state,
     check_coherence,
     entropy_profile,
@@ -270,7 +271,7 @@ def _reproduce_block(outdir: Path, seed: int):
         list(profile.entries),
         experiment={"reproduce": "block", "seed": seed},
     )
-    checkpoints = [m + m * (m + 1) // 2 for m in range(1, 9)]
+    checkpoints = [block_checkpoint(m) for m in range(1, 9)]
     ratios = [profile.entries[n - 1][2] for n in checkpoints]
     checks = [
         ("tau_exact", all(tau == 2.0**-t.m for tau, t in zip(taus, test.seq.terms)), str(taus)),

@@ -4,21 +4,19 @@ Index convention, fixed once for the whole package: computational-basis
 index i has qubit 1 as its most significant bit, so the last qubit is the
 least significant bit and tracing it out sums adjacent index pairs.
 
-Dense matrices are capped at 12 qubits by default (override with the
-``QUBITLAB_DENSE_CAP`` environment variable); diagonal probability vectors
-are allowed up to 24 qubits.
+Dense matrices are capped at 12 qubits; diagonal probability vectors are
+allowed up to 24 qubits.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-DEFAULT_DENSE_QUBIT_CAP = 12
+DENSE_QUBIT_CAP = 12
 DIAG_QUBIT_CAP = 24
 
 #: eigenvalues in [-EIG_CLIP_TOL, 0) are eigensolver noise and are clipped
@@ -53,10 +51,6 @@ class MalformedOperatorError(LinalgError):
 
 class DimensionCapError(LinalgError):
     """Requested register exceeds the configured representation cap."""
-
-
-def dense_qubit_cap() -> int:
-    return int(os.environ.get("QUBITLAB_DENSE_CAP", DEFAULT_DENSE_QUBIT_CAP))
 
 
 def qubit_count(dim: int) -> int:
@@ -145,9 +139,9 @@ class DensityOperator:
     def dense_matrix(self) -> np.ndarray:
         if self.matrix is not None:
             return self.matrix
-        if self.qubits > dense_qubit_cap():
+        if self.qubits > DENSE_QUBIT_CAP:
             raise DimensionCapError(
-                f"{self.qubits} qubits exceeds dense cap {dense_qubit_cap()}"
+                f"{self.qubits} qubits exceeds dense cap {DENSE_QUBIT_CAP}"
             )
         return np.diag(self.probs.astype(complex))
 
@@ -266,7 +260,7 @@ class Projection:
     def dense_matrix(self) -> np.ndarray:
         if self.matrix is not None:
             return self.matrix
-        if self.qubits > dense_qubit_cap():
+        if self.qubits > DENSE_QUBIT_CAP:
             raise DimensionCapError("projection too large for a dense matrix")
         diag = np.zeros(1 << self.qubits)
         diag[self.expand_indices()] = 1.0
@@ -285,13 +279,13 @@ def tensor(a, b):
             if n > DIAG_QUBIT_CAP:
                 raise DimensionCapError(f"{n} qubits exceeds diagonal cap")
             return DensityOperator(qubits=n, probs=_readonly(np.kron(a.probs, b.probs)))
-        if n > dense_qubit_cap():
-            raise DimensionCapError(f"{n} qubits exceeds dense cap {dense_qubit_cap()}")
+        if n > DENSE_QUBIT_CAP:
+            raise DimensionCapError(f"{n} qubits exceeds dense cap {DENSE_QUBIT_CAP}")
         return DensityOperator(
             qubits=n, matrix=_readonly(np.kron(a.dense_matrix(), b.dense_matrix()))
         )
     am, bm = np.asarray(a), np.asarray(b)
-    cap = DIAG_QUBIT_CAP if (am.ndim == 1 and bm.ndim == 1) else dense_qubit_cap()
+    cap = DIAG_QUBIT_CAP if (am.ndim == 1 and bm.ndim == 1) else DENSE_QUBIT_CAP
     if qubit_count(am.shape[0]) + qubit_count(bm.shape[0]) > cap:
         raise DimensionCapError("tensor product exceeds the representation cap")
     return np.kron(am, bm)
@@ -309,11 +303,7 @@ def _pt_diag(p: np.ndarray, a: int = 1) -> np.ndarray:
 
 def partial_trace_last(d: DensityOperator) -> DensityOperator:
     """Trace out the last qubit (the least significant index bit)."""
-    if d.qubits < 2:
-        raise BadDimensionError("need at least 2 qubits to trace one out")
-    if d.is_diagonal:
-        return DensityOperator(qubits=d.qubits - 1, probs=_readonly(_pt_diag(d.probs)))
-    return DensityOperator(qubits=d.qubits - 1, matrix=_readonly(_pt_dense(d.matrix)))
+    return partial_trace_k(d, 1)
 
 
 def partial_trace_k(d: DensityOperator, a: int) -> DensityOperator:
@@ -471,8 +461,8 @@ def validate_density(matrix: np.ndarray, tol: float) -> DensityOperator:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise BadDimensionError(f"expected a square matrix, got shape {m.shape}")
     n = qubit_count(m.shape[0])
-    if n > dense_qubit_cap():
-        raise DimensionCapError(f"{n} qubits exceeds dense cap {dense_qubit_cap()}")
+    if n > DENSE_QUBIT_CAP:
+        raise DimensionCapError(f"{n} qubits exceeds dense cap {DENSE_QUBIT_CAP}")
     _finite(m, "matrix entry")
     if np.abs(m - m.conj().T).max() > tol:
         raise NonHermitianError("matrix is not Hermitian within tolerance")

@@ -66,16 +66,6 @@ class ProjectionSequence:
             if t.projector.qubits != t.qubits:
                 raise BadDimensionError(f"term m={t.m} qubit count mismatch")
 
-    @classmethod
-    def from_generator(
-        cls, gen: Callable[[int], tuple[Projection, int]], m_max: int
-    ) -> "ProjectionSequence":
-        terms = []
-        for m in range(1, m_max + 1):
-            proj, qubits = gen(m)
-            terms.append(TestTerm(m=m, qubits=qubits, projector=proj))
-        return cls(terms=tuple(terms))
-
     @property
     def m_max(self) -> int:
         return self.terms[-1].m if self.terms else 0

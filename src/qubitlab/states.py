@@ -18,7 +18,6 @@ multiplicities, usually far shorter than 2^n.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import threading
@@ -36,7 +35,7 @@ from .linalg import (
     Spectrum,
     SpectrumHistogram,
     WrongTraceError,
-    dense_qubit_cap,
+    DENSE_QUBIT_CAP,
     eigendecompose,
     matrix_from_json,
     matrix_to_json,
@@ -234,7 +233,10 @@ class StateSequence:
         and the factors' histograms multiply with equal values merged.
         None for an unfactored state, and for a level whose type classes
         would cost more than sorting its spectrum (see `_level_histogram`);
-        `top_k_mass` then reads the materialised spectrum.
+        `top_k_mass` then reads the materialised spectrum.  Values that
+        underflow are lost, so a histogram whose multiplicities times values
+        miss 1 by more than `TOP_K_ERROR` raises DimensionCapError rather
+        than give wrong masses.
         """
         self._check_depth(n)
         if self._factors is None:
@@ -244,7 +246,13 @@ class StateSequence:
             copies: dict[int, list] = {}
             for f in self._factors(n):
                 copies.setdefault(id(f), [f, 0])[1] += 1
-            return _level_histogram(n, [(self._summary(f), c) for f, c in copies.values()])
+            hist = _level_histogram(n, [(self._summary(f), c) for f, c in copies.values()])
+            if hist is not None:
+                mass = top_k_sum(hist, 1 << n)
+                if not abs(mass - 1.0) <= TOP_K_ERROR:
+                    raise DimensionCapError(
+                        f"level {n} keeps mass {mass!r} in floats: its eigenvalues underflow")
+            return hist
 
         return self._memo(self._histograms, n, make)
 
@@ -317,9 +325,11 @@ def _check_scan(state: StateSequence, depth: int, *, top_k: bool = False) -> Non
     """Refuse up front a scan of levels 1..depth that would fail part way.
 
     The scan reads each level's entropy, or with ``top_k`` its top-k
-    masses.  A factored state answers either at any depth, closed-form
-    masses reach `CLOSED_FORM_QUBIT_CAP`, and anything else materialises
-    its levels, which no form holds past `DIAG_QUBIT_CAP` qubits.
+    masses.  A factored state answers entropy at any depth, and top-k
+    masses until its eigenvalues underflow (2^-n does past 1,074 qubits),
+    where `histogram` refuses the level.  Closed-form masses reach
+    `CLOSED_FORM_QUBIT_CAP`, and anything else materialises its levels,
+    which no form holds past `DIAG_QUBIT_CAP` qubits.
     """
     if depth < 1:
         raise BadDimensionError(f"depth {depth} is below 1")
@@ -375,20 +385,20 @@ def _factored_deviation(a: list[np.ndarray], b: list[np.ndarray], scale: float) 
     """Upper bound on the sup-norm distance between two factored vectors.
 
     Exact (zero) when the aligned factors agree elementwise; a telescoping
-    product bound otherwise.  Requires matching factor shapes.
+    product bound otherwise.  Aligned factors that are one object add
+    nothing, so a coherent level costs one comparison per factor.
+    Requires matching factor shapes.
     """
     if len(a) != len(b) or any(x.size != y.size for x, y in zip(a, b)):
         raise BadDimensionError("factor structures do not align")
-    a = [a[0] * scale] + [x.astype(float) for x in a[1:]] if a else []
-    total = 0.0
-    for i in range(len(a)):
-        term = _max_abs(a[i] - b[i])
-        for j in range(i):
-            term *= _max_abs(a[j])
-        for j in range(i + 1, len(a)):
-            term *= _max_abs(b[j])
-        total += term
-    return total
+    if scale != 1.0:
+        a = [a[0] * scale] + a[1:]
+    diffs = [(i, _max_abs(x - y)) for i, (x, y) in enumerate(zip(a, b)) if x is not y]
+    diffs = [(i, d) for i, d in diffs if d]
+    if not diffs:
+        return 0.0
+    top_a, top_b = [_max_abs(x) for x in a], [_max_abs(y) for y in b]
+    return sum(math.prod(top_a[:i] + top_b[i + 1:], start=d) for i, d in diffs)
 
 
 def check_coherence(state: StateSequence, depth: int, tol: float = 1e-8) -> CoherenceReport:
@@ -476,45 +486,23 @@ def block_checkpoint(m: int) -> int:
     return m + m * (m + 1) // 2
 
 
-def _block_factor(i: int) -> np.ndarray:
-    # one marker qubit followed by i uniform qubits
-    if i == 0:
-        return np.array([1.0, 0.0])
-    v = np.zeros(1 << (i + 1))
-    v[: 1 << i] = 2.0**-i
-    return v
-
-
-def _block_sizes(n: int) -> list[int]:
-    """Uniform-qubit counts of the blocks of level n, the last one possibly cut short."""
-    sizes = []
-    used, i = 0, 1
-    while used + i + 1 <= n:
-        sizes.append(i)
-        used += i + 1
-        i += 1
-    if n - used > 0:
-        sizes.append(n - used - 1)
-    return sizes
-
-
-def _block_factors(n: int) -> list[np.ndarray]:
-    return [_block_factor(i) for i in _block_sizes(n)]
-
-
 def block_state(max_depth: int) -> StateSequence:
     """Concatenated blocks: block i is a pinned qubit then i uniform qubits.
 
     At checkpoint depths the entropy is depth minus the number of complete
     blocks, so the per-qubit entropy climbs toward 1 while every checkpoint
-    level sits entirely inside an exponentially thin basis subset.
+    level sits entirely inside an exponentially thin basis subset.  Each
+    level is a product of one-qubit factors: counting from 0, qubit j is
+    the marker [1, 0] when j is a checkpoint and [1/2, 1/2] otherwise.
     """
-    # one read-only array per block size, shared by every level
-    factor = functools.cache(lambda i: _readonly(_block_factor(i)))
+    # two read-only arrays, shared by every level
+    e0, half = _readonly(np.array([1.0, 0.0])), _readonly(np.array([0.5, 0.5]))
+    checkpoints = map(block_checkpoint, itertools.count())
+    marks = set(itertools.takewhile(lambda c: c < max_depth, checkpoints))
     return StateSequence(
         "block",
         max_depth,
-        factors=lambda n: [factor(i) for i in _block_sizes(n)],
+        factors=lambda n: [e0 if j in marks else half for j in range(n)],
         spec={"kind": "block", "n_max": max_depth},
     )
 
@@ -536,9 +524,9 @@ def tensor_power_state(
 
         return StateSequence(label, max_depth, factors=facs, spec=spec)
     top = -(-max_depth // k) * k
-    if top > dense_qubit_cap():
+    if top > DENSE_QUBIT_CAP:
         raise DimensionCapError(
-            f"depth {max_depth} needs {top} dense qubits, cap is {dense_qubit_cap()}"
+            f"depth {max_depth} needs {top} dense qubits, cap is {DENSE_QUBIT_CAP}"
         )
 
     def gen(n: int) -> DensityOperator:
@@ -630,7 +618,8 @@ class DensitySpec:
 CLOSED_FORM_QUBIT_CAP = 500_000
 #: absolute error bound on a closed-form top-k mass (p <= 100): each of its
 #: two antiderivative terms is within about (2p + 10) ulps, and a split taken
-#: at a comparison tie swaps cells whose masses agree to within _TIE
+#: at a comparison tie swaps cells whose masses agree to within _TIE.  A
+#: factored level's histogram whose total mass misses 1 by more is refused
 TOP_K_ERROR = 1e-12
 #: log cell masses closer than this compare as a tie (their rounding is ~10 ulps)
 _TIE = 2.0**-46

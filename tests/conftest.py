@@ -120,6 +120,35 @@ def binomial_top_sum_oracle(p0: float, p1: float, copies: int, rank: int) -> flo
     return total
 
 
+def block_markers_oracle(n: int) -> list[int]:
+    """Positions (from 0) of the marker qubits among the first n of the block sequence.
+
+    Built from the definition: block i = 1, 2, ... is one marker qubit
+    pinned to 0 followed by i uniform qubits, and the blocks follow each
+    other.
+    """
+    markers, start, i = [], 0, 1
+    while start < n:
+        markers.append(start)
+        start += i + 1
+        i += 1
+    return markers
+
+
+def block_level_oracle(n: int) -> np.ndarray:
+    """Diagonal of level n of the block sequence, index by index.
+
+    A basis index carries mass 2^-(n - B) when every one of its B marker
+    bits is 0, and none otherwise (qubit 1 is the most significant bit).
+    """
+    markers = block_markers_oracle(n)
+    idx = np.arange(1 << n)
+    free = np.ones(idx.size, dtype=bool)
+    for pos in markers:
+        free &= (idx >> (n - 1 - pos)) & 1 == 0
+    return np.where(free, 2.0 ** -(n - len(markers)), 0.0)
+
+
 def rank_floor_oracle(n: int, num: int, den: int) -> int:
     """floor(2^(n*num/den)) in integer arithmetic: the largest r with r^den <= 2^(n*num)."""
     bound = 1 << (n * num)
@@ -330,7 +359,7 @@ def log_power_top_k_oracle(p: float, n: int, k: int, *, direct: bool | None = No
             j = hi
         else:
             # bisect ln(index) until the bracket is one cell or 2^-170 of its end wide
-            lo_t, hi_t = mpmath.log(a), mpmath.log(hi - 1)
+            lo_t, hi_t = mpmath.log(real(a)), mpmath.log(real(hi - 1))
             while mpmath.exp(hi_t) - mpmath.exp(lo_t) > max(1, mpmath.ldexp(mpmath.exp(lo_t), -170)):
                 mid = (lo_t + hi_t) / 2
                 lo_t, hi_t = (mid, hi_t) if log_ratio(mpmath.exp(mid)) > 0 else (lo_t, mid)

@@ -173,6 +173,18 @@ def test_ui_profile_command(tmp_path):
     assert moduli == {0.5: 1, 0.25: 2, 0.1: 4}
 
 
+def test_ui_profile_refuses_a_level_whose_masses_underflow(tmp_path, capsys):
+    out = tmp_path / "ui.csv"
+    code = run(
+        "ui-profile", "--state", "builtin:tracial(n=1200)", "--depth", 1200,
+        "--deltas", "0.3,0.1", "--out", out,
+    )
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: level 1200 keeps mass 0.0")
+    assert not out.exists()
+
+
 def test_validation_failure_exit_code(tmp_path):
     code = run(
         "entropy-profile", "--state", "builtin:nonsense(n=3)", "--depth", 3,

@@ -39,11 +39,12 @@ def test_tensor_density_operators_preserve_diagonal():
     assert np.allclose(out.probs, [0.5, 0, 0.5, 0])
 
 
-def test_tensor_cap_enforced(monkeypatch):
-    monkeypatch.setenv("QUBITLAB_DENSE_CAP", "3")
-    a = q.validate_density(np.eye(4, dtype=complex) / 4, 1e-9)
+def test_tensor_cap_enforced():
+    a = q.validate_density(np.eye(1 << 7, dtype=complex) / (1 << 7), 1e-9)
+    b = q.validate_density(np.eye(1 << 6, dtype=complex) / (1 << 6), 1e-9)
+    assert 7 + 6 > q.linalg.DENSE_QUBIT_CAP
     with pytest.raises(DimensionCapError):
-        q.tensor(a, a)
+        q.tensor(a, b)
 
 
 # --- partial trace ----------------------------------------------------------

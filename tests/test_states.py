@@ -1,5 +1,6 @@
 import math
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -7,9 +8,9 @@ import pytest
 
 import qubitlab as q
 from qubitlab.linalg import DimensionCapError
-from qubitlab.states import SourceExhaustedError, _block_factors
+from qubitlab.states import SourceExhaustedError
 
-from conftest import entropy_oracle, random_density_oracle
+from conftest import block_level_oracle, block_markers_oracle, entropy_oracle, random_density_oracle
 
 
 # --- tracial ------------------------------------------------------------------
@@ -80,14 +81,39 @@ def test_block_state_coherence_deep_and_materialised():
     b = q.block_state(44)
     report = q.check_coherence(b, 44, 1e-10)
     assert report.passed
-    # cross-check the factored representation against materialised vectors
+    # cross-check the factored representation against the definition
     for n in range(1, 15):
         mat = b.density(n).probs
-        kron = np.array([1.0])
-        for f in _block_factors(n):
-            kron = np.kron(kron, f)
-        assert np.array_equal(mat, kron)
+        assert np.array_equal(mat, block_level_oracle(n))
         assert b.entropy(n) == pytest.approx(entropy_oracle(mat), abs=1e-10)
+
+
+def test_block_state_deep_entropy_is_depth_minus_markers():
+    b = q.block_state(1000)
+    marks = [j for j, f in enumerate(b.diag_factors(1000)) if f[1] == 0.0]
+    assert marks == block_markers_oracle(1000)
+    profile = q.entropy_profile(b, 1000)
+    assert [h for _, h, _ in profile.entries] == [
+        n - len(block_markers_oracle(n)) for n in range(1, 1001)
+    ]
+    assert profile.entries[-1][:2] == (1000, 956)
+
+
+@pytest.mark.parametrize("depth, want", [(300, [26, 28]), (1100, [48, 50])])
+def test_block_state_deep_ui_moduli(depth, want):
+    # B(n) + ceil(log2(1/delta)); 0.5 and 0.25 would be exact ties
+    deltas = [0.3, 0.1]
+    profile = q.ui_profile(q.step_family(q.block_state(depth), depth), deltas, depth)
+    markers = len(block_markers_oracle(depth))
+    assert [markers + math.ceil(math.log2(1 / d)) for d in deltas] == want
+    assert [e.modulus for e in profile.entries] == want
+
+
+def test_block_state_coherence_deep_is_cheap():
+    start = time.perf_counter()
+    report = q.check_coherence(q.block_state(300), 300, 1e-12)
+    assert time.perf_counter() - start < 1.0
+    assert report.passed and all(dev == 0.0 for _, dev in report.deviations)
 
 
 def test_block_state_materialisation_cap():

@@ -1,5 +1,6 @@
 """Spectrum histograms of factored levels, and builders that materialise only what they emit."""
 
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -95,6 +96,31 @@ def test_histogram_top_k_with_multiplicities_past_float_range():
     assert state.top_k_mass(1030, 3 << 1027) == 0.375
 
 
+def test_histogram_that_loses_mass_to_underflow_is_refused():
+    # 2^-1075 rounds to 0.0, so the whole uniform spectrum is lost
+    with pytest.raises(DimensionCapError, match="level 1075 keeps mass 0.0"):
+        q.tracial_state(1075).top_k_mass(1075, 1 << 1075)
+    # 48 markers leave 1,152 uniform qubits
+    with pytest.raises(DimensionCapError, match="level 1200 keeps mass 0.0"):
+        q.block_state(1200).top_k_mass(1200, 1)
+    # the typical values 2^(-0.811 n) of this power underflow near 1,300 qubits
+    with pytest.raises(DimensionCapError, match="level 1500"):
+        _diag_power([0.75, 0.25], 1500).top_k_mass(1500, 1)
+
+
+def test_histogram_that_keeps_its_mass_answers_deep():
+    power = _diag_power([0.9, 0.1], 1500)
+    assert power.top_k_mass(1500, 1 << 1500) == pytest.approx(1.0, abs=1e-12)
+    # every eigenvalue with at most 200 factors of 0.1: about 2^849 of them
+    rank = sum(math.comb(1500, j) for j in range(201))
+    for k in (1, 1 << 600, rank):
+        want = binomial_top_sum_oracle(0.9, 0.1, 1500, k)
+        assert power.top_k_mass(1500, k) == pytest.approx(want, rel=1e-12, abs=1e-300)
+    tracial = q.tracial_state(1074)
+    assert tracial.top_k_mass(1074, 1 << 1074) == 1.0
+    assert tracial.top_k_mass(1074, 1 << 1073) == 0.5
+
+
 def test_ui_builder_on_block_materialises_only_emitted_levels():
     state = q.block_state(20)
     out = q.build_ui_test(state, "1/2", 6, 20)
@@ -144,7 +170,7 @@ def test_factors_alone_make_a_diagonal_state_past_the_dense_cap():
         return head + ([e0] + [half] * (n - 14) if n >= 14 else [])
 
     state = q.StateSequence("marker-at-14", 16, factors=factors)
-    assert 14 > q.linalg.dense_qubit_cap()
+    assert 14 > q.linalg.DENSE_QUBIT_CAP
     out = q.build_ui_test(state, "1/2", 2, 16)
     assert [t.qubits for t in out.test.seq.terms] == [1, 14] and out.complete
     assert state_to_json(state)["repr"] == "diag"
