@@ -22,7 +22,7 @@ integrals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -213,27 +213,28 @@ class StepFamily:
     Member n takes the value 2^n * alpha_i on [(i-1) 2^-n, i 2^-n), so it
     integrates to exactly the spectrum's total mass 1, and its integral
     over the prefix [0, 2^-m) is exactly the top 2^(n-m) eigenvalue mass.
-    Built by `step_family` it reads prefix integrals from the state's top-k
-    masses and materialises a member only when asked; else it reads ``spectra``.
+    Members 1..depth of the state; prefix integrals are read from its top-k
+    masses, and a member is materialised only when asked.  A depth the
+    state's masses cannot reach is refused at construction.
     """
 
-    spectra: dict[int, np.ndarray] = field(default_factory=dict)
-    state: StateSequence | None = None
-    depth: int = 0
+    state: StateSequence
+    depth: int
+
+    def __post_init__(self):
+        _check_scan(self.state, self.depth, top_k=True)
 
     @property
     def depths(self) -> tuple[int, ...]:
-        if self.state is None:
-            return tuple(sorted(self.spectra))
         return tuple(range(1, self.depth + 1))
 
     def _check(self, n: int) -> None:
-        if not (n in self.spectra if self.state is None else 1 <= n <= self.depth):
+        if not 1 <= n <= self.depth:
             raise BadDimensionError(f"step family lacks depth {n}")
 
     def member(self, n: int) -> np.ndarray:
         self._check(n)
-        return self.spectra[n] if self.state is None else self.state.spectrum(n)
+        return self.state.spectrum(n)
 
     def evaluate(self, n: int, x: float) -> float:
         """Value of member n at a point of [0, 1)."""
@@ -245,8 +246,7 @@ class StepFamily:
 
 def step_family(state: StateSequence, depth: int) -> StepFamily:
     """The state's step family, refused up front past the depth its masses reach."""
-    _check_scan(state, depth, top_k=True)
-    return StepFamily(state=state, depth=depth)
+    return StepFamily(state, depth)
 
 
 def prefix_integral(fam: StepFamily, n: int, m: int) -> float:
@@ -254,8 +254,6 @@ def prefix_integral(fam: StepFamily, n: int, m: int) -> float:
     if not 0 <= m <= n:
         raise ValueError(f"m={m} outside 0..n for member depth n={n}")
     fam._check(n)
-    if fam.state is None:
-        return float(fam.spectra[n][: 1 << (n - m)].sum())
     return fam.state.top_k_mass(n, 1 << (n - m))
 
 
@@ -288,12 +286,12 @@ def ui_profile(fam: StepFamily, deltas, depth: int) -> UIProfile:
 
     Each delta must lie in (0, 1) and depth must be at least 1.  Orders m
     are visited in ascending order until every delta has its modulus.  A
-    state's levels are assumed coherent (`check_coherence` verifies it), so
-    a rank-k projection P on level n lifts to P (x) I, of rank 2k, one level
-    up: by Ky Fan the sup over n is the value at n = depth, one query per
-    order.  A family of listed spectra takes the max over its members.
-    Past the diagonal cap each sup must clear every delta it decides by
-    more than `TOP_K_ERROR`, the error of the masses it is read from, or
+    state's levels are coherent (`explicit_state` checks its list, and
+    `check_coherence` verifies any state), so a rank-k projection P on
+    level n lifts to P (x) I, of rank 2k, one level up: by Ky Fan the sup
+    over n is the value at n = depth, one query per order.  Past the
+    diagonal cap each sup must clear every delta it decides by more than
+    `TOP_K_ERROR`, the error of the masses it is read from, or
     DimensionCapError is raised: no modulus is returned uncertified.
     """
     deltas = [float(d) for d in deltas]
@@ -304,22 +302,17 @@ def ui_profile(fam: StepFamily, deltas, depth: int) -> UIProfile:
         raise ValueError(f"deltas must lie strictly between 0 and 1, got {deltas}")
     if depth < 1:
         raise BadDimensionError(f"depth {depth} is below 1")
-    # a state-backed family holds every depth up to its own
-    missing = (range(fam.depth + 1, depth + 1) if fam.state is not None
-               else [n for n in range(1, depth + 1) if n not in fam.spectra])
-    if missing:
+    if depth > fam.depth:
+        missing = range(fam.depth + 1, depth + 1)
         shown = list(missing) if len(missing) <= 8 else f"[{missing[0]}, ..., {missing[-1]}]"
         raise ValueError(f"step family lacks depths {shown}")
-    if fam.state is not None:
-        _check_scan(fam.state, depth, top_k=True)
     slack = TOP_K_ERROR if depth > DIAG_QUBIT_CAP else 0.0
     moduli: dict[float, int] = {}
     for m in range(1, depth + 1):
         open_deltas = [d for d in deltas if d not in moduli]
         if not open_deltas:
             break
-        ns = range(m, depth + 1) if fam.state is None else (depth,)
-        sup = max(prefix_integral(fam, n, m) for n in ns)
+        sup = prefix_integral(fam, depth, m)
         for delta in open_deltas:
             if slack and abs(sup - delta) <= slack:
                 raise DimensionCapError(

@@ -247,8 +247,8 @@ def state_weight(state: StateSequence, n: int, g: Projection) -> float:
         proj_factors = g.factors if g.factors is not None else ((n, g.basis_indices),)
         try:
             return _grouped_factor_weight(state.diag_factors(n), proj_factors)
-        except (BadDimensionError, DimensionCapError):
-            pass  # fall through to materialisation
+        except BadDimensionError:
+            pass  # misaligned factors: fall through to materialisation
     return projection_weight(state.density(n), g)
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-import weakref
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
@@ -56,17 +55,15 @@ class SourceExhaustedError(ValueError):
 
 @dataclass(frozen=True)
 class _FactorSummary:
-    """A diagonal factor's distinct positive entries (descending), their counts and its entropy."""
+    """A diagonal factor's distinct positive entries (descending) and their counts."""
 
     values: tuple[float, ...]
     counts: tuple[int, ...]
-    entropy: float
 
 
 def _summarise(f: np.ndarray) -> _FactorSummary:
-    h = shannon_entropy(f)
     vals, counts = np.unique(f[f > 0.0], return_counts=True)
-    return _FactorSummary(tuple(vals[::-1].tolist()), tuple(counts[::-1].tolist()), h)
+    return _FactorSummary(tuple(vals[::-1].tolist()), tuple(counts[::-1].tolist()))
 
 
 def _types(copies: int, parts: int):
@@ -135,10 +132,10 @@ class StateSequence:
     of its factors (up to the diagonal cap).  Levels and their spectra are
     memoised side by side, so each level is decomposed at most once; a
     dense level's eigenvectors then live as long as the sequence.  A
-    factored level's spectrum is also memoised as a histogram, built from
-    per-factor summaries that are kept while their factor object lives, so
-    a ``factors`` callable should hand out the same arrays for repeated
-    factors.  Access is thread-safe.
+    factored level's spectrum is also memoised as a histogram.  Its entropy
+    and histogram summarise each distinct factor object of the level once,
+    so a ``factors`` callable that hands out one array for repeated factors
+    pays for it once per level.  Access is thread-safe.
     """
 
     def __init__(
@@ -162,8 +159,6 @@ class StateSequence:
         self._cache: dict[int, DensityOperator] = {}
         self._spectra: dict[int, Spectrum] = {}
         self._histograms: dict[int, SpectrumHistogram | None] = {}
-        # id(factor) -> summary, dropped when the factor dies so an id is never reused
-        self._summaries: dict[int, _FactorSummary] = {}
         # (n, k) -> top-k mass without materialising, set by constructors that have one
         self._top_k: Callable[[int, int], float] | None = None
         self._lock = threading.Lock()
@@ -215,17 +210,6 @@ class StateSequence:
         """Descending eigenvalues of level n (materialised levels only)."""
         return self.eigensystem(n).eigenvalues
 
-    def _summary(self, f: np.ndarray) -> _FactorSummary:
-        hit = self._summaries.get(id(f))
-        if hit is None:
-            hit = _summarise(f)
-            with self._lock:
-                if id(f) in self._summaries:
-                    return self._summaries[id(f)]
-                self._summaries[id(f)] = hit
-            weakref.finalize(f, self._summaries.pop, id(f), None)
-        return hit
-
     def histogram(self, n: int) -> SpectrumHistogram | None:
         """Memoised spectrum histogram of factored level n.
 
@@ -243,10 +227,11 @@ class StateSequence:
             return None
 
         def make() -> SpectrumHistogram | None:
+            # the list holds every factor, so no id is reused inside one call
             copies: dict[int, list] = {}
             for f in self._factors(n):
                 copies.setdefault(id(f), [f, 0])[1] += 1
-            hist = _level_histogram(n, [(self._summary(f), c) for f, c in copies.values()])
+            hist = _level_histogram(n, [(_summarise(f), c) for f, c in copies.values()])
             if hist is not None:
                 mass = top_k_sum(hist, 1 << n)
                 if not abs(mass - 1.0) <= TOP_K_ERROR:
@@ -268,7 +253,10 @@ class StateSequence:
         """Entropy in bits of level n, via the factorisation when present."""
         if self._factors is not None:
             self._check_depth(n)
-            return float(sum(self._summary(f).entropy for f in self._factors(n)))
+            fs = self._factors(n)
+            ids = list(map(id, fs))
+            h = {i: shannon_entropy(f) for i, f in dict(zip(ids, fs)).items()}
+            return float(sum(map(h.__getitem__, ids)))
         return von_neumann_entropy(self.eigensystem(n))
 
 
@@ -426,14 +414,21 @@ def check_coherence(state: StateSequence, depth: int, tol: float = 1e-8) -> Cohe
 def explicit_state(name: str, levels: Sequence[DensityOperator]) -> StateSequence:
     """Wrap an explicit list of per-depth operators (levels[i] has i+1 qubits).
 
-    The levels are assumed coherent, each the partial trace of the next, as
-    `ui_profile` relies on; `check_coherence` verifies this.
+    The levels must be coherent, each the partial trace of the next, as
+    `ui_profile` relies on: `check_coherence` runs at tolerance 1e-8 here,
+    and ValueError names the first two levels that disagree.
     """
     for i, d in enumerate(levels):
         if d.qubits != i + 1:
             raise BadDimensionError(f"level {i + 1} has {d.qubits} qubits")
     ops = list(levels)
-    return StateSequence(name, len(ops), lambda n: ops[n - 1])
+    state = StateSequence(name, len(ops), lambda n: ops[n - 1])
+    report = check_coherence(state, len(ops))
+    if not report.passed:
+        n, dev = report.deviations[report.first_failure - 2]
+        raise ValueError(f"levels {n - 1} and {n} of {name!r} are not coherent: level {n} "
+                         f"traced misses level {n - 1} by {dev:.3g}")
+    return state
 
 
 def tracial_state(max_depth: int) -> StateSequence:

@@ -387,7 +387,7 @@ def test_criterion_10_coherence_suite():
         q.DensityOperator.diagonal(np.array([0.25, 0.25, 0.25, 0.25])),
         q.DensityOperator.diagonal(np.array([0.5, 0.0, 0.25, 0.0, 0.25, 0.0, 0.0, 0.0])),
     ]
-    broken = q.check_coherence(q.explicit_state("broken", levels), 3, 1e-8)
+    broken = q.check_coherence(q.StateSequence("broken", 3, lambda n: levels[n - 1]), 3, 1e-8)
     report(
         "10 coherence suite",
         [

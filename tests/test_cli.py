@@ -185,6 +185,20 @@ def test_ui_profile_refuses_a_level_whose_masses_underflow(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_ui_profile_refuses_an_incoherent_per_level_dump(tmp_path, capsys):
+    # level 1 is [0.99, 0.01], but level 2 (uniform) traces to [1/2, 1/2]
+    levels = [[0.99, 0.01]] + [[2.0**-n] * (1 << n) for n in range(2, 7)]
+    path = tmp_path / "probe.json"
+    dump_json(path, {"name": "probe", "n_max": 6, "per_n": [
+        {"qubits": n, "repr": "diag", "data": p} for n, p in enumerate(levels, 1)]})
+    out = tmp_path / "ui.csv"
+    code = run("ui-profile", "--state", path, "--depth", 6, "--deltas", "0.9,0.5", "--out", out)
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: levels 1 and 2 of 'probe' are not coherent")
+    assert not out.exists()
+
+
 def test_validation_failure_exit_code(tmp_path):
     code = run(
         "entropy-profile", "--state", "builtin:nonsense(n=3)", "--depth", 3,

@@ -181,6 +181,13 @@ def test_deep_cap_raises_dimension_cap_error():
         state.top_k_mass(40, 0)
 
 
+def test_a_step_family_past_the_cap_is_refused_at_construction():
+    state = q.measure_state(q.log_power_density(3), 10**6)
+    with pytest.raises(DimensionCapError, match="qubits"):
+        q.StepFamily(state=state, depth=CLOSED_FORM_QUBIT_CAP + 1)
+    assert q.StepFamily(state=state, depth=CLOSED_FORM_QUBIT_CAP).depth == CLOSED_FORM_QUBIT_CAP
+
+
 def test_deep_measure_state_caps_only_materialised_queries():
     state = q.measure_state(q.log_power_density(2), 60)
     for query in (
@@ -248,15 +255,13 @@ def test_concurrent_queries_share_one_state():
 
 def test_prefix_integral_rejects_bad_orders_and_depths():
     fam = q.step_family(q.tracial_state(5), 5)
-    arrays = q.StepFamily(spectra={n: fam.member(n) for n in (3, 4)})
-    for f in (fam, arrays):
-        with pytest.raises(ValueError, match="m=-1"):
-            q.prefix_integral(f, 3, -1)
-        with pytest.raises(BadDimensionError, match="depth 9"):
-            q.prefix_integral(f, 9, 2)
-    with pytest.raises(BadDimensionError, match="depth 2"):
-        arrays.member(2)
-    assert q.prefix_integral(arrays, 4, 0) == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="m=-1"):
+        q.prefix_integral(fam, 3, -1)
+    with pytest.raises(BadDimensionError, match="depth 9"):
+        q.prefix_integral(fam, 9, 2)
+    with pytest.raises(BadDimensionError, match="depth 6"):
+        fam.member(6)
+    assert q.prefix_integral(fam, 4, 0) == 1
 
 
 def _cli(*argv):

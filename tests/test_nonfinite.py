@@ -156,10 +156,9 @@ def test_depths_below_one_and_deltas_outside_the_unit_interval_are_refused(depth
     state = q.measure_state(q.log_power_density(2), 40)
     with pytest.raises(BadDimensionError, match="below 1"):
         q.step_family(state, depth)
-    arrays = q.StepFamily(spectra={1: np.array([0.5, 0.5])})
-    with pytest.raises(BadDimensionError, match="below 1"):
-        q.ui_profile(arrays, [0.5], depth)
     fam = q.step_family(state, 40)
+    with pytest.raises(BadDimensionError, match="below 1"):
+        q.ui_profile(fam, [0.5], depth)
     with pytest.raises(ValueError, match="strictly between 0 and 1"):
         q.ui_profile(fam, [0.5, delta], 40)
 

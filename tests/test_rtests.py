@@ -142,13 +142,23 @@ def test_state_weight_refuses_a_block_past_the_diagonal_cap_at_once():
     # into one 2^25 vector; the merge and the fallback both refuse it at once
     state = q.tracial_state(25)
     start = time.perf_counter()
-    with pytest.raises(DimensionCapError):
+    with pytest.raises(DimensionCapError, match="25-qubit block"):
         q.state_weight(state, 25, q.Projection.from_basis(25, [0]))
     assert time.perf_counter() - start < 1.0
     assert not state._cache
     shallow = q.tracial_state(20)
     assert q.state_weight(shallow, 20, q.Projection.from_basis(20, [0, 7])) == 2.0**-19
     assert not shallow._cache
+
+
+def test_state_weight_materialises_when_factors_do_not_align():
+    # a 1+3-qubit projection cuts the first 2-qubit factor of the power in two
+    p = np.array([0.4, 0.3, 0.2, 0.1])
+    state = q.tensor_power_state(q.DensityOperator.diagonal(p), 4)
+    g = q.Projection.from_factors([(1, [1]), (3, [0, 2, 5, 7])])
+    want = np.kron(p, p)[8 + np.array([0, 2, 5, 7])].sum()  # index 8a + b, a = 1
+    assert q.state_weight(state, 4, g) == pytest.approx(want, abs=1e-15)
+    assert set(state._cache) == {4}  # the fallback materialised level 4
 
 
 # --- deficiency builder ---------------------------------------------------------------

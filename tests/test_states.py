@@ -253,10 +253,36 @@ def test_check_coherence_negative_control():
         q.DensityOperator.diagonal(np.array([0.25, 0.25, 0.25, 0.25])),
         q.DensityOperator.diagonal(np.array([0.5, 0.0, 0.25, 0.0, 0.25, 0.0, 0.0, 0.0])),
     ]
-    broken = q.explicit_state("broken", levels)
+    broken = q.StateSequence("broken", 3, lambda n: levels[n - 1])
     report = q.check_coherence(broken, 3, 1e-8)
     assert not report.passed
     assert report.first_failure == 3
+
+
+def _probe_levels(first):
+    """Level 1 is ``first``; levels 2-6 are uniform, so level 2 traces to [1/2, 1/2]."""
+    return [q.DensityOperator.diagonal(np.array(first))] + [
+        q.DensityOperator.diagonal(np.full(1 << n, 2.0**-n)) for n in range(2, 7)]
+
+
+def _listed_sup_moduli(levels, deltas):
+    """Smallest m with max over n >= m of the top 2^(n-m) mass at most delta."""
+    probs = [np.sort(d.probs)[::-1] for d in levels]
+    sups = [max(p[: 1 << (n - m)].sum() for n, p in enumerate(probs, 1) if n >= m)
+            for m in range(1, len(levels) + 1)]
+    return [next(m for m, s in enumerate(sups, 1) if s <= d) for d in deltas]
+
+
+def test_explicit_state_refuses_incoherent_levels():
+    # the sup over these listed levels is 0.99 at m = 1 and 1/4 at m = 2, so
+    # moduli 2 and 2; one query at depth 6 alone would read 1 and 1
+    levels = _probe_levels([0.99, 0.01])
+    assert _listed_sup_moduli(levels, [0.9, 0.5]) == [2, 2]
+    with pytest.raises(ValueError, match="levels 1 and 2 of 'probe' are not coherent"):
+        q.explicit_state("probe", levels)
+    coherent = _probe_levels([0.5, 0.5])
+    profile = q.ui_profile(q.step_family(q.explicit_state("probe", coherent), 6), [0.9, 0.5], 6)
+    assert [e.modulus for e in profile.entries] == _listed_sup_moduli(coherent, [0.9, 0.5])
 
 
 def test_state_sequence_depth_bounds():
