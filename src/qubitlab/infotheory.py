@@ -290,9 +290,10 @@ def ui_profile(fam: StepFamily, deltas, depth: int) -> UIProfile:
     `check_coherence` verifies any state), so a rank-k projection P on
     level n lifts to P (x) I, of rank 2k, one level up: by Ky Fan the sup
     over n is the value at n = depth, one query per order.  Past the
-    diagonal cap each sup must clear every delta it decides by more than
-    `TOP_K_ERROR`, the error of the masses it is read from, or
-    DimensionCapError is raised: no modulus is returned uncertified.
+    diagonal cap a sup read from closed-form masses must clear every delta
+    it decides by more than `TOP_K_ERROR`, their error, or DimensionCapError
+    is raised: no modulus is returned uncertified.  Spectra and histograms
+    decide ties as they fall.
     """
     deltas = [float(d) for d in deltas]
     _finite(np.asarray(deltas), "delta")
@@ -306,7 +307,7 @@ def ui_profile(fam: StepFamily, deltas, depth: int) -> UIProfile:
         missing = range(fam.depth + 1, depth + 1)
         shown = list(missing) if len(missing) <= 8 else f"[{missing[0]}, ..., {missing[-1]}]"
         raise ValueError(f"step family lacks depths {shown}")
-    slack = TOP_K_ERROR if depth > DIAG_QUBIT_CAP else 0.0
+    slack = TOP_K_ERROR if fam.state._top_k is not None and depth > DIAG_QUBIT_CAP else 0.0
     moduli: dict[float, int] = {}
     for m in range(1, depth + 1):
         open_deltas = [d for d in deltas if d not in moduli]

@@ -29,6 +29,7 @@ from .linalg import (
     DensityOperator,
     DimensionCapError,
     Projection,
+    eigendecompose,
     projection_weight,
     tau_weight,
     tensor,
@@ -523,13 +524,10 @@ def typical_subspace_decay(d: DensityOperator, rate, depth: int) -> DecayCurve:
     and the call is refused.
     """
     rate = as_fraction(rate)
-    h = von_neumann_entropy(d)
+    spec = eigendecompose(d)
+    h = von_neumann_entropy(spec)
     if float(rate) >= h - 1e-12:
         raise ValueError(f"rate {float(rate)} is not below the entropy {h:.6f}")
-    if d.is_diagonal:
-        base = np.sort(d.probs.astype(float))[::-1]
-    else:
-        base = np.sort(np.clip(np.linalg.eigvalsh(d.matrix), 0.0, None))[::-1]
     if depth * d.qubits > DIAG_QUBIT_CAP:
         raise DimensionCapError(
             f"eigenvalue vector would need 2^{depth * d.qubits} entries"
@@ -537,7 +535,7 @@ def typical_subspace_decay(d: DensityOperator, rate, depth: int) -> DecayCurve:
     ns, ranks, values = [], [], []
     eigs = np.array([1.0])
     for n in range(1, depth + 1):
-        eigs = np.kron(eigs, base)
+        eigs = np.kron(eigs, spec.eigenvalues)
         eigs[::-1].sort()
         r = min(max(rank_floor(n, rate), 1), eigs.size)
         ns.append(n)

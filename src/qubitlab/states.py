@@ -552,17 +552,17 @@ class DensitySpec:
 
     density: Callable
     antiderivative: Callable | None = None
-    quad_tol: float = 1e-12
     name: str = "density"
-    norm_tol: float = 1e-9
     _leaf_cache: dict = field(default_factory=dict, repr=False, compare=False)
     #: (n, k) -> the top-k mass of level n in closed form, for densities that have one
     _top_k: Callable[[int, int], float] | None = field(default=None, repr=False, compare=False)
+    #: the name `density_by_name` rebuilds this density from, for densities that have one
+    _recipe: str | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         total = self.total_mass()
         # written so that a NaN total fails too
-        if not abs(total - 1.0) <= max(self.norm_tol, 100 * self.quad_tol):
+        if not abs(total - 1.0) <= _NORM_TOL:
             raise WrongTraceError(f"density integrates to {total}, not 1")
 
     def total_mass(self) -> float:
@@ -570,7 +570,7 @@ class DensitySpec:
             return float(self.antiderivative(np.array([1.0]))[0] - self.antiderivative(np.array([0.0]))[0])
         from scipy.integrate import quad
 
-        val, _ = quad(self.density, 0.0, 1.0, epsabs=self.quad_tol, limit=500)
+        val, _ = quad(self.density, 0.0, 1.0, epsabs=_QUAD_TOL, limit=500)
         return float(val)
 
     def cylinder_masses(self, depth: int) -> np.ndarray:
@@ -594,7 +594,7 @@ class DensitySpec:
                 xs = np.linspace(0.0, 1.0, (1 << deepest) + 1)
                 base = np.array(
                     [
-                        quad(self.density, xs[i], xs[i + 1], epsabs=self.quad_tol, limit=200)[0]
+                        quad(self.density, xs[i], xs[i + 1], epsabs=_QUAD_TOL, limit=200)[0]
                         for i in range(xs.size - 1)
                     ]
                 )
@@ -616,6 +616,10 @@ CLOSED_FORM_QUBIT_CAP = 500_000
 #: at a comparison tie swaps cells whose masses agree to within _TIE.  A
 #: factored level's histogram whose total mass misses 1 by more is refused
 TOP_K_ERROR = 1e-12
+#: absolute error asked of each quadrature of a density without an antiderivative
+_QUAD_TOL = 1e-12
+#: how far a density's total mass may miss 1
+_NORM_TOL = 1e-9
 #: log cell masses closer than this compare as a tie (their rounding is ~10 ulps)
 _TIE = 2.0**-46
 _LN2 = math.log(2.0)
@@ -671,15 +675,15 @@ def _log_power_top_k(p: float) -> Callable[[int, int], float]:
     62 qubits the grid is the cells themselves and every index is an exact
     integer.
 
-    The search starts at twice the split of (n-1, k/2), which is where a UI
-    profile's next query lands, and stops at a tie.
+    The search starts at twice the split of (n-1, k/2), which is where a
+    builder's climbing scan makes its next query, and stops at a tie.
     """
     q = 1.0 - p
     valley = math.exp(q)
     # floor(e^q 2^n) for the valley cell, in integers
     valley_num, valley_den = valley.as_integer_ratio()
-    # (n, k on the grid) -> split on the grid: only a search's starting guess,
-    # so racing threads cannot spoil a result
+    # (n, k on the grid) -> split on the grid, the starting guess for (n+1, 2k)
+    # in a builder's scan: only a guess, so racing threads cannot spoil a result
     splits: dict[tuple[int, int], int] = {}
 
     def cell(x: int, frac: float, g: int, s: int) -> tuple[float | None, float]:
@@ -800,42 +804,27 @@ def log_power_density(p: float) -> DensitySpec:
         return np.power(out, 1.0 - p, out=out, where=pos)
 
     top_k = _log_power_top_k(p) if p <= 100 else None
-    return DensitySpec(density=f, antiderivative=F, name=f"log-power-{p:g}", _top_k=top_k)
+    # the name must give back p itself, so `density_by_name` rebuilds this density
+    name = f"log-power-{p:g}" if float(f"{p:g}") == p else f"log-power-{float(p)!r}"
+    return DensitySpec(density=f, antiderivative=F, name=name, _top_k=top_k, _recipe=name)
 
 
-def measure_state(spec, max_depth: int, *, name: str | None = None) -> StateSequence:
+def measure_state(spec: DensitySpec, max_depth: int, *, name: str | None = None) -> StateSequence:
     """Diagonal sequence whose level-n weights are dyadic cylinder masses.
 
-    ``spec`` is a DensitySpec, or a callable mapping a cylinder address
-    (a '0'/'1' string) to its mass, in which case the masses must already
-    be coherent.  Any ``max_depth`` is accepted: levels materialise up to
-    the diagonal cap, and a DensitySpec with closed-form top-k masses
-    answers `top_k_mass` beyond it.
+    Any ``max_depth`` is accepted: levels materialise up to the diagonal
+    cap, and closed-form top-k masses answer `top_k_mass` beyond it.  The
+    state replays from a recipe only if its density records one.  Cylinder
+    masses with no density go to `explicit_state`, as diagonal levels
+    whose coherence it checks.
     """
-    if isinstance(spec, DensitySpec):
-        label = name or spec.name
-        # only densities reconstructible from their name are replayable
-        replay = None
-        if spec.name.startswith("log-power-"):
-            replay = {"kind": "measure", "density": spec.name, "n_max": max_depth}
-
-        def gen(n: int) -> DensityOperator:
-            return DensityOperator.diagonal(spec.cylinder_masses(n))
-
-    elif callable(spec):
-        label = name or "measure:custom"
-        replay = None
-
-        def gen(n: int) -> DensityOperator:
-            if n > DIAG_QUBIT_CAP:
-                raise DimensionCapError(f"depth {n} exceeds diagonal cap")
-            masses = np.array([spec(format(i, f"0{n}b")) for i in range(1 << n)])
-            return DensityOperator.diagonal(masses)
-
-    else:
-        raise TypeError("spec must be a DensitySpec or a cylinder-mass callable")
-    state = StateSequence(label, max_depth, gen, spec=replay)
-    state._top_k = getattr(spec, "_top_k", None)
+    if not isinstance(spec, DensitySpec):
+        raise TypeError("spec must be a DensitySpec")
+    replay = None if spec._recipe is None else {
+        "kind": "measure", "density": spec._recipe, "n_max": max_depth}
+    state = StateSequence(name or spec.name, max_depth,
+                          lambda n: DensityOperator.diagonal(spec.cylinder_masses(n)), spec=replay)
+    state._top_k = spec._top_k
     return state
 
 

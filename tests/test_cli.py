@@ -173,6 +173,18 @@ def test_ui_profile_command(tmp_path):
     assert moduli == {0.5: 1, 0.25: 2, 0.1: 4}
 
 
+def test_ui_profile_decides_exact_ties_past_the_diagonal_cap(tmp_path):
+    # the first 44 block qubits hold 8 markers, so the moduli are 8 + log2(1/delta), rounded up
+    out = tmp_path / "ui.csv"
+    code = run(
+        "ui-profile", "--state", "builtin:block(n=44)", "--depth", 44,
+        "--deltas", "0.5,0.25,0.1", "--out", out,
+    )
+    assert code == EXIT_OK
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    assert {float(r[0]): int(r[1]) for r in rows} == {0.5: 9, 0.25: 10, 0.1: 12}
+
+
 def test_ui_profile_refuses_a_level_whose_masses_underflow(tmp_path, capsys):
     out = tmp_path / "ui.csv"
     code = run(

@@ -203,7 +203,8 @@ def test_deep_measure_state_caps_only_materialised_queries():
         with pytest.raises(DimensionCapError):
             scan(state, 30)
     assert not state._cache
-    custom = q.measure_state(lambda word: 2.0 ** -len(word), 40)
+    uniform = q.DensitySpec(density=lambda x: np.ones_like(np.asarray(x, dtype=float)))
+    custom = q.measure_state(uniform, 40)
     with pytest.raises(DimensionCapError):
         custom.density(25)
 

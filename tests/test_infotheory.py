@@ -328,6 +328,27 @@ def test_ui_profile_refuses_a_deep_request_at_once():
         q.ui_profile(fam, [0.5], 10**12)
 
 
+def _block_markers(n: int) -> int:
+    """B(n): block m ends with the checkpoint m + m(m+1)/2, a marker qubit (from 0)."""
+    return sum(1 for m in range(n) if m + m * (m + 1) // 2 < n)
+
+
+@pytest.mark.parametrize("depth", [25, 44, 77, 200, 300, 1000])
+def test_ui_profile_decides_exact_ties_on_deep_block_levels(depth):
+    # level n is uniform on 2^(n - B) strings, so the top 2^(n-m) mass is exactly
+    # 2^(B - m) once m >= B: delta 0.5 ties at m = B + 1, and must be decided there
+    deltas = [0.5, 0.25, 0.1]
+    b = _block_markers(depth)
+    profile = q.ui_profile(q.step_family(q.block_state(depth), depth), deltas, depth)
+    expected = [b + math.ceil(math.log2(1 / d)) for d in deltas]
+    assert [e.modulus for e in profile.entries] == expected
+
+
+def test_ui_profile_decides_exact_ties_on_a_deep_tracial_level():
+    fam = q.step_family(q.tracial_state(1000), 1000)
+    assert [e.modulus for e in q.ui_profile(fam, [0.5, 0.25, 0.1], 1000).entries] == [1, 2, 4]
+
+
 # --- entropy gaps ------------------------------------------------------------------------------
 
 

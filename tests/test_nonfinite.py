@@ -55,8 +55,6 @@ def test_probability_vectors_reject_non_finite(p):
         q.flatten_distribution(np.sort(p)[::-1], "1/2")
     with pytest.raises(MalformedOperatorError):
         q.two_block_average(np.sort(p)[::-1], 1)
-    with pytest.raises(MalformedOperatorError):
-        q.measure_state(lambda sigma: p[int(sigma, 2) % p.size], 3).density(3)
 
 
 @settings(max_examples=40, deadline=None)

@@ -405,6 +405,15 @@ def test_typical_decay_matches_binomial_oracle():
     assert curve.net_decay and curve.tail_strictly_decreasing
 
 
+def test_typical_decay_of_a_rotated_qubit_matches_binomial_oracle():
+    c, s = math.cos(0.3), math.sin(0.3)
+    u = np.array([[c, -s], [s, c]])
+    d = q.DensityOperator.dense(u @ np.diag([0.9, 0.1]) @ u.T)
+    curve = q.typical_subspace_decay(d, "3/10", 16)
+    for n, rank, value in zip(curve.ns, curve.ranks, curve.values):
+        assert abs(value - binomial_top_sum_oracle(0.9, 0.1, n, rank)) <= 1e-12
+
+
 def test_typical_decay_uniform_closed_form():
     d = q.DensityOperator.diagonal(np.array([0.5, 0.5]))
     curve = q.typical_subspace_decay(d, "1/2", 12)

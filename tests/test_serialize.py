@@ -99,6 +99,34 @@ def test_custom_density_state_falls_back_to_per_level_dump():
     assert np.allclose(replayed.density(6).probs, state.density(6).probs)
 
 
+def test_log_power_names_are_unchanged():
+    for p, name in ((2, "log-power-2"), (3.0, "log-power-3"), (2.5, "log-power-2.5")):
+        state = q.measure_state(q.log_power_density(p), 4)
+        assert state.name == name
+        assert state_to_json(state)["constructor"]["density"] == name
+
+
+@pytest.mark.parametrize("p", [2.5000001, 2.0000001])
+def test_measure_state_replays_its_exact_exponent(p):
+    state = q.measure_state(q.log_power_density(p), 6)
+    obj = state_to_json(state)
+    assert float(obj["constructor"]["density"].removeprefix("log-power-")) == p
+    replayed = state_from_json(obj)
+    assert np.array_equal(replayed.density(6).probs, state.density(6).probs)
+
+
+def test_a_density_named_like_a_builtin_is_dumped_per_level():
+    ramp = q.DensitySpec(
+        density=lambda x: 2.0 * np.asarray(x, dtype=float),
+        antiderivative=lambda x: np.asarray(x, dtype=float) ** 2,
+        name="log-power-2",
+    )
+    obj = state_to_json(q.measure_state(ramp, 4))
+    assert "per_n" in obj and "constructor" not in obj
+    replayed = state_from_json(obj)
+    assert np.abs(replayed.density(3).probs - np.diff(np.linspace(0, 1, 9) ** 2)).max() < 1e-15
+
+
 def test_state_per_level_dump(rng):
     levels = [random_density_oracle(rng, 1), random_density_oracle(rng, 2)]
     levels[1] = q.tensor(levels[0], random_density_oracle(rng, 1))  # make it coherent

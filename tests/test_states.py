@@ -235,8 +235,23 @@ def test_measure_state_quadrature_path_matches_closed_form():
 
 
 def test_measure_state_from_cylinder_callable():
-    s = q.measure_state(lambda sigma: 2.0 ** -len(sigma), 6, name="uniform-cyl")
-    assert np.allclose(s.density(3).probs, [1 / 8] * 8)
+    # cylinder masses go through explicit_state, which checks their coherence
+    with pytest.raises(TypeError, match="spec must be a DensitySpec"):
+        q.measure_state(lambda sigma: 2.0 ** -len(sigma), 6, name="uniform-cyl")
+
+
+def test_incoherent_cylinder_masses_are_refused():
+    # level 1 is [0.99, 0.01], but every deeper level is uniform
+    def masses(n):
+        return np.array([0.99, 0.01]) if n == 1 else np.full(1 << n, 2.0**-n)
+
+    unchecked = q.StateSequence("probe", 6, lambda n: q.DensityOperator.diagonal(masses(n)))
+    assert q.check_coherence(unchecked, 6).deviations[0] == (2, pytest.approx(0.49))
+    with pytest.raises(TypeError, match="spec must be a DensitySpec"):
+        q.measure_state(lambda sigma: masses(len(sigma))[int(sigma, 2)], 6)
+    levels = [q.DensityOperator.diagonal(masses(n)) for n in range(1, 7)]
+    with pytest.raises(ValueError, match="levels 1 and 2 of 'probe' are not coherent"):
+        q.explicit_state("probe", levels)
 
 
 def test_density_must_normalise():
