@@ -214,9 +214,10 @@ def _grouped_factor_weight(
     """Product of per-block weights after regrouping state factors.
 
     State factors may be finer than the projection's blocks; they are
-    kron-merged until the qubit boundaries line up.  Raises when a state
-    factor straddles a block boundary, and before any merge when a block
-    is wider than `DIAG_QUBIT_CAP` qubits.
+    kron-merged until the qubit boundaries line up.  Both cover the same
+    n qubits, so only a state factor that straddles a block boundary can
+    misalign them: that raises, as does a block wider than
+    `DIAG_QUBIT_CAP` qubits, before any merge.
     """
     it = iter(state_factors)
     weight = 1.0
@@ -226,17 +227,12 @@ def _grouped_factor_weight(
         buf: np.ndarray | None = None
         bufq = 0
         while bufq < q:
-            try:
-                v = next(it)
-            except StopIteration:
-                raise BadDimensionError("state factors shorter than projection") from None
+            v = next(it)
             bufq += int(v.size).bit_length() - 1
             if bufq > q:
                 raise BadDimensionError("factor boundaries do not align")
             buf = v if buf is None else np.kron(buf, v)
         weight *= float(buf[idx].sum())
-    if next(it, None) is not None:
-        raise BadDimensionError("state factors longer than projection")
     return weight
 
 

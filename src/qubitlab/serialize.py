@@ -70,7 +70,9 @@ def state_from_json(obj: dict) -> StateSequence:
         levels = [matrix_from_json(m) for m in obj["per_n"]]
         return explicit_state(obj.get("name", "explicit"), levels)
     spec = obj["constructor"]
-    return state_from_recipe(spec, int(spec.get("n_max", obj.get("n_max"))))
+    state = state_from_recipe(spec, int(spec.get("n_max", obj.get("n_max"))))
+    state.name = obj.get("name", state.name)
+    return state
 
 
 # ---------------------------------------------------------------------------

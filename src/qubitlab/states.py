@@ -18,6 +18,8 @@ multiplicities, usually far shorter than 2^n.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
 import threading
@@ -126,16 +128,17 @@ class StateSequence:
 
     A state needs a level source, and the source decides how a level is
     held.  ``generator`` must be deterministic and total on 1..max_depth
-    (up to representation caps).  ``factors``, when given, maps n to the
-    list of diagonal kron factors of level n; factored levels are exact at
-    any depth, and without a generator level n is materialised as the kron
-    of its factors (up to the diagonal cap).  Levels and their spectra are
+    (up to representation caps).  ``factors``, when given, is one sequence
+    of diagonal blocks (probability vectors on one qubit or more) through
+    qubit ``max_depth``, each distinct block validated once.  Level n is
+    its prefix: the kron of the blocks that end by qubit n, times the next
+    block traced down to fit, so levels are coherent by construction and
+    exact at any depth; without a generator level n is materialised as
+    that kron (up to the diagonal cap).  Levels and their spectra are
     memoised side by side, so each level is decomposed at most once; a
     dense level's eigenvectors then live as long as the sequence.  A
-    factored level's spectrum is also memoised as a histogram.  Its entropy
-    and histogram summarise each distinct factor object of the level once,
-    so a ``factors`` callable that hands out one array for repeated factors
-    pays for it once per level.  Access is thread-safe.
+    factored level's spectrum is also memoised as a histogram.  Access is
+    thread-safe.
     """
 
     def __init__(
@@ -144,7 +147,7 @@ class StateSequence:
         max_depth: int,
         generator: Callable[[int], DensityOperator] | None = None,
         *,
-        factors: Callable[[int], list[np.ndarray]] | None = None,
+        factors: Sequence[np.ndarray] | None = None,
         spec: dict | None = None,
     ):
         self.name = name
@@ -153,9 +156,22 @@ class StateSequence:
             raise BadDimensionError(f"max_depth {max_depth} is below 1")
         if generator is None and factors is None:
             raise ValueError(f"state {name!r} needs a generator or factors")
+        if callable(factors):
+            raise TypeError(f"factors of {name!r} must be a sequence of blocks, not a callable")
         self.spec = spec
         self._generator = generator
-        self._factors = factors
+        self._factors = None if factors is None else tuple(factors)
+        if self._factors is not None:
+            # each distinct block object is validated, and its entropy computed, once
+            ids = list(map(id, self._factors))
+            distinct = dict(zip(ids, self._factors))
+            qubits = {i: DensityOperator.diagonal(f).qubits for i, f in distinct.items()}
+            entropies = {i: shannon_entropy(f) for i, f in distinct.items()}
+            self._entropies = tuple(map(entropies.__getitem__, ids))
+            self._ends = list(itertools.accumulate(map(qubits.__getitem__, ids)))
+            if min(qubits.values(), default=0) < 1 or self._ends[-1] < self.max_depth:
+                raise BadDimensionError(
+                    f"{name!r} needs blocks of one qubit or more through qubit {self.max_depth}")
         self._cache: dict[int, DensityOperator] = {}
         self._spectra: dict[int, Spectrum] = {}
         self._histograms: dict[int, SpectrumHistogram | None] = {}
@@ -184,13 +200,18 @@ class StateSequence:
         make = self._kron_factors if self._generator is None else self._generator
         return self._memo(self._cache, n, lambda: make(n))
 
+    def _level(self, n: int) -> list[np.ndarray]:
+        """Factored level n: the blocks that end by qubit n, then the next one traced to fit."""
+        i = bisect.bisect_left(self._ends, n)
+        cut = self._ends[i] - n
+        return [*self._factors[:i], _pt_diag(self._factors[i], cut) if cut else self._factors[i]]
+
     def _kron_factors(self, n: int) -> DensityOperator:
         if n > DIAG_QUBIT_CAP:
             raise DimensionCapError(f"cannot materialise {n} qubits")
-        out = np.array([1.0])
-        for f in self._factors(n):
-            out = np.kron(out, f)
-        return DensityOperator.diagonal(out)
+        # every block was validated at construction, so their product is clipped, not re-checked
+        out = functools.reduce(np.kron, self._level(n), np.ones(1))
+        return DensityOperator(qubits=n, probs=_readonly(np.clip(out, 0.0, None, out=out)))
 
     @property
     def has_factors(self) -> bool:
@@ -200,7 +221,7 @@ class StateSequence:
         self._check_depth(n)
         if self._factors is None:
             raise BadDimensionError(f"{self.name} has no factored form")
-        return self._factors(n)
+        return self._level(n)
 
     def eigensystem(self, n: int) -> Spectrum:
         """Memoised spectrum of level n (materialised levels only)."""
@@ -229,7 +250,7 @@ class StateSequence:
         def make() -> SpectrumHistogram | None:
             # the list holds every factor, so no id is reused inside one call
             copies: dict[int, list] = {}
-            for f in self._factors(n):
+            for f in self._level(n):
                 copies.setdefault(id(f), [f, 0])[1] += 1
             hist = _level_histogram(n, [(_summarise(f), c) for f, c in copies.values()])
             if hist is not None:
@@ -250,13 +271,13 @@ class StateSequence:
         return top_k_sum(self.eigensystem(n) if hist is None else hist, k)
 
     def entropy(self, n: int) -> float:
-        """Entropy in bits of level n, via the factorisation when present."""
+        """Entropy in bits of level n: its blocks' entropies summed left to right, when factored."""
         if self._factors is not None:
             self._check_depth(n)
-            fs = self._factors(n)
-            ids = list(map(id, fs))
-            h = {i: shannon_entropy(f) for i, f in dict(zip(ids, fs)).items()}
-            return float(sum(map(h.__getitem__, ids)))
+            fs = self._level(n)
+            i = len(fs) - 1
+            last = self._entropies[i] if fs[i] is self._factors[i] else shannon_entropy(fs[i])
+            return float(sum([*self._entropies[:i], last]))
         return von_neumann_entropy(self.eigensystem(n))
 
 
@@ -357,46 +378,21 @@ def _max_abs(a: np.ndarray) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
 
 
-def _factored_pt(factors: list[np.ndarray]) -> tuple[list[np.ndarray], float]:
-    """Trace the last qubit out of a factored diagonal level.
-
-    Returns the new factor list and the scalar weight absorbed when a
-    one-qubit trailing factor is traced away entirely.
-    """
-    last = factors[-1]
-    if last.size == 2:
-        return list(factors[:-1]), float(last.sum())
-    return list(factors[:-1]) + [_pt_diag(last)], 1.0
-
-
-def _factored_deviation(a: list[np.ndarray], b: list[np.ndarray], scale: float) -> float:
-    """Upper bound on the sup-norm distance between two factored vectors.
-
-    Exact (zero) when the aligned factors agree elementwise; a telescoping
-    product bound otherwise.  Aligned factors that are one object add
-    nothing, so a coherent level costs one comparison per factor.
-    Requires matching factor shapes.
-    """
-    if len(a) != len(b) or any(x.size != y.size for x, y in zip(a, b)):
-        raise BadDimensionError("factor structures do not align")
-    if scale != 1.0:
-        a = [a[0] * scale] + a[1:]
-    diffs = [(i, _max_abs(x - y)) for i, (x, y) in enumerate(zip(a, b)) if x is not y]
-    diffs = [(i, d) for i, d in diffs if d]
-    if not diffs:
-        return 0.0
-    top_a, top_b = [_max_abs(x) for x in a], [_max_abs(y) for y in b]
-    return sum(math.prod(top_a[:i] + top_b[i + 1:], start=d) for i, d in diffs)
-
-
 def check_coherence(state: StateSequence, depth: int, tol: float = 1e-8) -> CoherenceReport:
-    """Verify that tracing level n reproduces level n-1, for 2 <= n <= depth."""
+    """Verify that tracing level n reproduces level n-1, for 2 <= n <= depth.
+
+    Factored levels n and n-1 share all blocks but the last, so the
+    deviation is exactly sup(head) times g: |sum(last) - 1| for a one-qubit
+    last block, else sup|tr_1(last) - last'| against level n-1's last one.
+    """
     _check_scan(state, depth)
     devs = []
     for n in range(2, depth + 1):
         if state.has_factors:
-            traced, scale = _factored_pt(state.diag_factors(n))
-            dev = _factored_deviation(traced, state.diag_factors(n - 1), scale)
+            *head, last = state._level(n)
+            diff = last.sum() - 1.0 if last.size == 2 else _pt_diag(last) - state._level(n - 1)[-1]
+            g = _max_abs(diff)
+            dev = math.prod(map(_max_abs, head), start=g) if g else 0.0
         else:
             top, below = partial_trace_last(state.density(n)), state.density(n - 1)
             if top.is_diagonal and below.is_diagonal:
@@ -437,7 +433,7 @@ def tracial_state(max_depth: int) -> StateSequence:
     return StateSequence(
         "tracial",
         max_depth,
-        factors=lambda n: [half] * n,
+        factors=[half] * max_depth,
         spec={"kind": "tracial", "n_max": max_depth},
     )
 
@@ -469,7 +465,7 @@ def pure_bitstring_state(bits, max_depth: int, *, name: str | None = None) -> St
     return StateSequence(
         name or f"pure:{word[:8]}...",
         max_depth,
-        factors=lambda n: [e0 if c == "0" else e1 for c in word[:n]],
+        factors=[e0 if c == "0" else e1 for c in word],
         spec={"kind": "pure", "bits": word, "n_max": max_depth},
     )
 
@@ -497,7 +493,7 @@ def block_state(max_depth: int) -> StateSequence:
     return StateSequence(
         "block",
         max_depth,
-        factors=lambda n: [e0 if j in marks else half for j in range(n)],
+        factors=[e0 if j in marks else half for j in range(max_depth)],
         spec={"kind": "block", "n_max": max_depth},
     )
 
@@ -510,14 +506,7 @@ def tensor_power_state(
     label = name or f"power:{k}q"
     spec = {"kind": "tensor_power", "n_max": max_depth, "factor": matrix_to_json(d)}
     if d.is_diagonal:
-        base = d.probs.astype(float)
-        tails = {r: _pt_diag(base, k - r) for r in range(1, k)}
-
-        def facs(n: int) -> list[np.ndarray]:
-            q, r = divmod(n, k)
-            return [base] * q + ([tails[r]] if r else [])
-
-        return StateSequence(label, max_depth, factors=facs, spec=spec)
+        return StateSequence(label, max_depth, factors=[d.probs] * -(-max_depth // k), spec=spec)
     top = -(-max_depth // k) * k
     if top > DENSE_QUBIT_CAP:
         raise DimensionCapError(

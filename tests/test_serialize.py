@@ -54,6 +54,22 @@ def test_state_constructor_replay(make):
         assert np.allclose(replayed.density(n).probs, state.density(n).probs, atol=1e-15)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: q.measure_state(q.log_power_density(3), 6, name="mine"),
+        lambda: q.pure_bitstring_state("010110", 6, name="mybits"),
+        lambda: q.tensor_power_state(q.DensityOperator.diagonal(np.array([0.7, 0.3])), 6, name="pw"),
+    ],
+)
+def test_replay_keeps_the_saved_name(make):
+    state = make()
+    obj = state_to_json(state)
+    replayed = state_from_json(obj)
+    assert replayed.name == state.name
+    assert state_to_json(replayed) == obj
+
+
 # one builtin per registry kind; a kind missing here fails the coverage check below
 BUILTINS = {
     "tracial": "builtin:tracial(n=8)",

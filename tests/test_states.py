@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 import qubitlab as q
-from qubitlab.linalg import DimensionCapError
+from qubitlab.linalg import (
+    BadDimensionError,
+    DimensionCapError,
+    MalformedOperatorError,
+    NotPositiveError,
+    WrongTraceError,
+)
 from qubitlab.states import SourceExhaustedError
 
 from conftest import block_level_oracle, block_markers_oracle, entropy_oracle, random_density_oracle
@@ -298,6 +304,58 @@ def test_explicit_state_refuses_incoherent_levels():
     coherent = _probe_levels([0.5, 0.5])
     profile = q.ui_profile(q.step_family(q.explicit_state("probe", coherent), 6), [0.9, 0.5], 6)
     assert [e.modulus for e in profile.entries] == _listed_sup_moduli(coherent, [0.9, 0.5])
+
+
+# --- factored states: one block sequence, each level a prefix ----------------------
+
+
+def test_a_factors_callable_is_refused():
+    half = np.array([0.5, 0.5])
+    with pytest.raises(TypeError, match="sequence of blocks, not a callable"):
+        q.StateSequence("callable", 4, factors=lambda n: [half] * n)
+
+
+@pytest.mark.parametrize(
+    "blocks, error",
+    [
+        ([[np.nan, 1.0]], MalformedOperatorError),
+        ([[1.25, -0.25]], NotPositiveError),
+        ([[0.6, 0.6]], WrongTraceError),
+        ([[0.5, 0.25, 0.25]], BadDimensionError),
+        ([[1.0]], BadDimensionError),  # a block on no qubit
+        ([], BadDimensionError),  # the sequence stops at qubit 3, before max_depth 4
+    ],
+)
+def test_bad_block_sequences_are_refused_at_construction(blocks, error):
+    half = np.array([0.5, 0.5])
+    factors = [half, half, *map(np.array, blocks), half]
+    with pytest.raises(error):
+        q.StateSequence("bad", 4, factors=factors)
+
+
+def test_factored_coherence_matches_a_materialised_twin():
+    # one entry nudged by 4e-9: every odd level n misses its parent by
+    # sup(head) * 4e-9, and every even level traces exactly
+    probs = np.array([0.4, 0.3, 0.2, 0.1 + 4e-9])
+    s = q.tensor_power_state(q.DensityOperator.diagonal(probs), 16)
+    twin = q.StateSequence("twin", 16, lambda n: s.density(n))
+    for depth in range(2, 17):
+        factored = q.check_coherence(s, depth).deviations
+        materialised = q.check_coherence(twin, depth).deviations
+        assert [n for n, _ in factored] == [n for n, _ in materialised]
+        assert all(abs(a - b) <= 1e-15 for (_, a), (_, b) in zip(factored, materialised))
+    assert all((dev > 0.0) == (n % 2 == 1) for n, dev in factored)
+    assert factored[1] == (3, pytest.approx(0.4 * 4e-9, rel=1e-6))
+
+
+def test_factored_state_ui_moduli_equal_the_sup_over_its_levels():
+    # the probe's level 1 heads a block sequence, so its uniform levels
+    # follow from it: the one query at depth 6 reads the listed sup
+    s = q.StateSequence("probe", 6, factors=[np.array([0.99, 0.01])] + [np.array([0.5, 0.5])] * 5)
+    assert q.check_coherence(s, 6).passed
+    levels = [s.density(n) for n in range(1, 7)]
+    profile = q.ui_profile(q.step_family(s, 6), [0.9, 0.5], 6)
+    assert [e.modulus for e in profile.entries] == _listed_sup_moduli(levels, [0.9, 0.5]) == [2, 2]
 
 
 def test_state_sequence_depth_bounds():

@@ -146,11 +146,7 @@ def test_emitted_level_past_the_diagonal_cap_still_raises():
     # a marker qubit at positions 1 and 25, uniform qubits elsewhere: the ui
     # builder emits order 1 at depth 1 and order 2 first at depth 25
     e0, half = np.array([1.0, 0.0]), np.array([0.5, 0.5])
-
-    def factors(n):
-        head = [e0] + [half] * (min(n, 24) - 1)
-        return head + ([e0] + [half] * (n - 25) if n >= 25 else [])
-
+    factors = [e0] + [half] * 23 + [e0] + [half] * 15
     state = q.StateSequence("two-markers", 40, factors=factors)
     assert q.check_coherence(state, 40).passed
     assert state.top_k_mass(25, 1 << 23) == 1.0
@@ -164,11 +160,7 @@ def test_factors_alone_make_a_diagonal_state_past_the_dense_cap():
     # a marker qubit at positions 1 and 14: given only `factors`, the levels
     # are diagonal, so order 2 is emitted from depth 14, past the dense cap
     e0, half = np.array([1.0, 0.0]), np.array([0.5, 0.5])
-
-    def factors(n):
-        head = [e0] + [half] * (min(n, 13) - 1)
-        return head + ([e0] + [half] * (n - 14) if n >= 14 else [])
-
+    factors = [e0] + [half] * 12 + [e0] + [half] * 2
     state = q.StateSequence("marker-at-14", 16, factors=factors)
     assert 14 > q.linalg.DENSE_QUBIT_CAP
     out = q.build_ui_test(state, "1/2", 2, 16)
@@ -223,19 +215,13 @@ def test_costly_type_classes_past_the_cap_still_raise_at_once():
     # uniform qubits up to the cap, then 16-valued factors: the builder
     # reads histograms below the cap and stops where the types turn costly
     half, f16 = np.array([0.5, 0.5]), _sixteen_valued_factor()
-
-    def factors(n):
-        if n <= 24:
-            return [half] * n
-        return [half] * (20 + n % 4) + [f16] * ((n - 20) // 4)
-
-    state = q.StateSequence("uniform-then-16", 60, factors=factors)
+    state = q.StateSequence("uniform-then-16", 60, factors=[half] * 24 + [f16] * 9)
     start = time.perf_counter()
     with pytest.raises(DimensionCapError):
         q.build_ui_test(state, "1/2", 6, 60)
     assert time.perf_counter() - start < 10.0
     assert not state._cache
-    assert state.histogram(28) is not None and state.histogram(40) is None
+    assert state.histogram(28) is not None and state.histogram(44) is None
 
 
 def test_factor_with_more_than_a_thousand_values():
@@ -252,10 +238,10 @@ def test_factor_with_more_than_a_thousand_values():
 
 
 def test_summaries_are_dropped_with_their_factors():
-    # a factors callable that builds new arrays on every call pins none of them
+    # 80 distinct arrays of equal values: each is its own block
     state = q.StateSequence(
         "fresh-arrays", 80,
-        factors=lambda n: [np.array([0.7, 0.3]) for _ in range(n)],
+        factors=[np.array([0.7, 0.3]) for _ in range(80)],
     )
     want = q.shannon_entropy(np.array([0.7, 0.3]))
     profile = q.entropy_profile(state, 80)
