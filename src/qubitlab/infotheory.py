@@ -29,7 +29,6 @@ import numpy as np
 
 from .dyadic import as_fraction, rank_ceil
 from .linalg import (
-    DIAG_QUBIT_CAP,
     BadDimensionError,
     DimensionCapError,
     _finite,
@@ -42,11 +41,11 @@ from .states import TOP_K_ERROR, DensitySpec, StateSequence, _check_scan
 MASS_SLACK = 1e-12
 
 
-def _check_descending(alpha: np.ndarray, atol: float = 1e-12) -> np.ndarray:
+def _check_descending(alpha: np.ndarray) -> np.ndarray:
     a = _finite(np.asarray(alpha, dtype=float), "probability")
     if a.ndim != 1:
         raise BadDimensionError("expected a 1-D probability vector")
-    if a.size > 1 and np.min(a[:-1] - a[1:]) < -atol:
+    if a.size > 1 and np.min(a[:-1] - a[1:]) < -1e-12:
         raise ValueError("vector must be non-increasing")
     return a
 
@@ -176,11 +175,11 @@ class UpperBoundCheck:
     lead_mass: float
     averaged_entropy: float
 
-    def satisfied(self, slack: float = 1e-9) -> bool:
-        return self.entropy <= self.bound + slack
+    def satisfied(self) -> bool:
+        return self.entropy <= self.bound + 1e-9
 
-    def intermediate_satisfied(self, slack: float = 1e-9) -> bool:
-        return self.entropy <= self.averaged_entropy + slack
+    def intermediate_satisfied(self) -> bool:
+        return self.entropy <= self.averaged_entropy + 1e-9
 
 
 def check_entropy_upper_bound(alpha, m: int) -> UpperBoundCheck:
@@ -289,11 +288,11 @@ def ui_profile(fam: StepFamily, deltas, depth: int) -> UIProfile:
     state's levels are coherent (`explicit_state` checks its list, and
     `check_coherence` verifies any state), so a rank-k projection P on
     level n lifts to P (x) I, of rank 2k, one level up: by Ky Fan the sup
-    over n is the value at n = depth, one query per order.  Past the
-    diagonal cap a sup read from closed-form masses must clear every delta
-    it decides by more than `TOP_K_ERROR`, their error, or DimensionCapError
-    is raised: no modulus is returned uncertified.  Spectra and histograms
-    decide ties as they fall.
+    over n is the value at n = depth, one query per order.  At any depth a
+    sup read from closed-form masses must clear every delta it decides by
+    more than `TOP_K_ERROR`, their error, or DimensionCapError is raised:
+    no modulus is returned uncertified.  Spectra and histograms decide
+    ties as they fall.
     """
     deltas = [float(d) for d in deltas]
     _finite(np.asarray(deltas), "delta")
@@ -307,7 +306,7 @@ def ui_profile(fam: StepFamily, deltas, depth: int) -> UIProfile:
         missing = range(fam.depth + 1, depth + 1)
         shown = list(missing) if len(missing) <= 8 else f"[{missing[0]}, ..., {missing[-1]}]"
         raise ValueError(f"step family lacks depths {shown}")
-    slack = TOP_K_ERROR if fam.state._top_k is not None and depth > DIAG_QUBIT_CAP else 0.0
+    slack = TOP_K_ERROR if fam.state._top_k is not None else 0.0
     moduli: dict[float, int] = {}
     for m in range(1, depth + 1):
         open_deltas = [d for d in deltas if d not in moduli]
@@ -327,7 +326,7 @@ def ui_profile(fam: StepFamily, deltas, depth: int) -> UIProfile:
 def entropy_gap(spec: DensitySpec, n: int) -> float:
     """Entropy of the depth-n cylinder masses minus the maximum n, in bits."""
     masses = spec.cylinder_masses(n)
-    return shannon_entropy(masses, atol=1e-6) - n
+    return shannon_entropy(masses) - n
 
 
 def entropy_gap_curve(spec: DensitySpec, depth: int, start: int = 1) -> list[tuple[int, float]]:

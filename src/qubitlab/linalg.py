@@ -105,20 +105,20 @@ class DensityOperator:
     probs: np.ndarray | None = None
 
     @classmethod
-    def dense(cls, matrix: np.ndarray, *, atol: float = 1e-9) -> "DensityOperator":
-        return validate_density(matrix, atol)
+    def dense(cls, matrix: np.ndarray) -> "DensityOperator":
+        return validate_density(matrix, 1e-9)
 
     @classmethod
-    def diagonal(cls, probs: np.ndarray, *, atol: float = 1e-9) -> "DensityOperator":
+    def diagonal(cls, probs: np.ndarray) -> "DensityOperator":
         p = np.asarray(probs, dtype=float)
         if p.ndim != 1:
             raise BadDimensionError("diagonal form takes a 1-D probability vector")
         n = qubit_count(p.size)
         if n > DIAG_QUBIT_CAP:
             raise DimensionCapError(f"{n} qubits exceeds diagonal cap {DIAG_QUBIT_CAP}")
-        _finite(p, "probability", atol)
-        total = math.fsum(p.tolist()) if p.size <= 4096 else float(p.sum())
-        if abs(total - 1.0) > max(atol, 1e-9) * 10:
+        _finite(p, "probability", 1e-9)
+        total = float(p.sum())
+        if abs(total - 1.0) > 1e-8:
             raise WrongTraceError(f"probabilities sum to {total}, not 1")
         return cls(qubits=n, probs=_readonly(np.clip(p, 0.0, None)))
 
@@ -197,18 +197,18 @@ class Projection:
     factors: tuple[tuple[int, np.ndarray], ...] | None = None
 
     @classmethod
-    def from_matrix(cls, matrix: np.ndarray, *, atol: float = 1e-9) -> "Projection":
+    def from_matrix(cls, matrix: np.ndarray) -> "Projection":
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise BadDimensionError("projection matrix must be square")
         n = qubit_count(m.shape[0])
         _finite(m, "projection entry")
-        if np.abs(m - m.conj().T).max() > atol:
+        if np.abs(m - m.conj().T).max() > 1e-9:
             raise NonHermitianError("projection is not Hermitian within tolerance")
-        if np.abs(m @ m - m).max() > max(atol, 1e-8):
+        if np.abs(m @ m - m).max() > 1e-8:
             raise MalformedOperatorError("projection is not idempotent within tolerance")
         tr = m.trace().real
-        if abs(tr - round(tr)) > max(atol, 1e-6):
+        if abs(tr - round(tr)) > 1e-6:
             raise MalformedOperatorError(f"projection trace {tr} is not near an integer")
         return cls(qubits=n, matrix=_readonly(m))
 
@@ -256,15 +256,6 @@ class Projection:
         for q, sub in self.factors:
             idx = (idx[:, None] << q | sub[None, :]).reshape(-1)
         return np.sort(idx)
-
-    def dense_matrix(self) -> np.ndarray:
-        if self.matrix is not None:
-            return self.matrix
-        if self.qubits > DENSE_QUBIT_CAP:
-            raise DimensionCapError("projection too large for a dense matrix")
-        diag = np.zeros(1 << self.qubits)
-        diag[self.expand_indices()] = 1.0
-        return np.diag(diag.astype(complex))
 
 
 def tensor(a, b):
@@ -345,11 +336,11 @@ def eigendecompose(d: DensityOperator) -> Spectrum:
     return Spectrum(eigenvalues=_readonly(w[order]), eigenvectors=_readonly(v[:, order]))
 
 
-def shannon_entropy(p, *, atol: float = 1e-6) -> float:
+def shannon_entropy(p) -> float:
     """Entropy in bits of a probability vector, with 0*log(0) = 0."""
     p = _finite(np.asarray(p, dtype=float), "probability", EIG_CLIP_TOL)
     total = float(p.sum())
-    if abs(total - 1.0) > atol:
+    if abs(total - 1.0) > 1e-6:
         raise MalformedOperatorError(f"probabilities sum to {total}, not 1")
     return _entropy_bits(p)
 

@@ -126,15 +126,15 @@ def _level_histogram(n: int, parts: list[tuple[_FactorSummary, int]]) -> Spectru
 class StateSequence:
     """Lazy, memoised map from depth n to the n-qubit density operator.
 
-    A state needs a level source, and the source decides how a level is
-    held.  ``generator`` must be deterministic and total on 1..max_depth
-    (up to representation caps).  ``factors``, when given, is one sequence
+    A state takes exactly one level source, and the source decides how a
+    level is held.  ``generator`` must be deterministic and total on
+    1..max_depth (up to representation caps).  ``factors`` is one sequence
     of diagonal blocks (probability vectors on one qubit or more) through
     qubit ``max_depth``, each distinct block validated once.  Level n is
     its prefix: the kron of the blocks that end by qubit n, times the next
     block traced down to fit, so levels are coherent by construction and
-    exact at any depth; without a generator level n is materialised as
-    that kron (up to the diagonal cap).  Levels and their spectra are
+    exact at any depth; level n is materialised as that kron (up to the
+    diagonal cap).  Levels and their spectra are
     memoised side by side, so each level is decomposed at most once; a
     dense level's eigenvectors then live as long as the sequence.  A
     factored level's spectrum is also memoised as a histogram.  Access is
@@ -154,8 +154,8 @@ class StateSequence:
         self.max_depth = int(max_depth)
         if self.max_depth < 1:
             raise BadDimensionError(f"max_depth {max_depth} is below 1")
-        if generator is None and factors is None:
-            raise ValueError(f"state {name!r} needs a generator or factors")
+        if (generator is None) == (factors is None):
+            raise ValueError(f"state {name!r} needs a generator or factors, not both")
         if callable(factors):
             raise TypeError(f"factors of {name!r} must be a sequence of blocks, not a callable")
         self.spec = spec
@@ -166,8 +166,10 @@ class StateSequence:
             ids = list(map(id, self._factors))
             distinct = dict(zip(ids, self._factors))
             qubits = {i: DensityOperator.diagonal(f).qubits for i, f in distinct.items()}
-            entropies = {i: shannon_entropy(f) for i, f in distinct.items()}
-            self._entropies = tuple(map(entropies.__getitem__, ids))
+            self._block_entropy = {i: shannon_entropy(f) for i, f in distinct.items()}
+            # _head_entropy[i]: the entropies of blocks [:i] summed left to right from 0.0
+            self._head_entropy = np.fromiter(itertools.accumulate(
+                map(self._block_entropy.__getitem__, ids), initial=0.0), float, len(ids) + 1)
             self._ends = list(itertools.accumulate(map(qubits.__getitem__, ids)))
             if min(qubits.values(), default=0) < 1 or self._ends[-1] < self.max_depth:
                 raise BadDimensionError(
@@ -200,17 +202,18 @@ class StateSequence:
         make = self._kron_factors if self._generator is None else self._generator
         return self._memo(self._cache, n, lambda: make(n))
 
-    def _level(self, n: int) -> list[np.ndarray]:
-        """Factored level n: the blocks that end by qubit n, then the next one traced to fit."""
+    def _level(self, n: int) -> tuple[int, np.ndarray]:
+        """Factored level n as (i, last): blocks [:i] end by qubit n, and last is block i traced to fit."""
         i = bisect.bisect_left(self._ends, n)
         cut = self._ends[i] - n
-        return [*self._factors[:i], _pt_diag(self._factors[i], cut) if cut else self._factors[i]]
+        return i, _pt_diag(self._factors[i], cut) if cut else self._factors[i]
 
     def _kron_factors(self, n: int) -> DensityOperator:
         if n > DIAG_QUBIT_CAP:
             raise DimensionCapError(f"cannot materialise {n} qubits")
         # every block was validated at construction, so their product is clipped, not re-checked
-        out = functools.reduce(np.kron, self._level(n), np.ones(1))
+        i, last = self._level(n)
+        out = functools.reduce(np.kron, [*self._factors[:i], last], np.ones(1))
         return DensityOperator(qubits=n, probs=_readonly(np.clip(out, 0.0, None, out=out)))
 
     @property
@@ -221,7 +224,8 @@ class StateSequence:
         self._check_depth(n)
         if self._factors is None:
             raise BadDimensionError(f"{self.name} has no factored form")
-        return self._level(n)
+        i, last = self._level(n)
+        return [*self._factors[:i], last]
 
     def eigensystem(self, n: int) -> Spectrum:
         """Memoised spectrum of level n (materialised levels only)."""
@@ -250,7 +254,8 @@ class StateSequence:
         def make() -> SpectrumHistogram | None:
             # the list holds every factor, so no id is reused inside one call
             copies: dict[int, list] = {}
-            for f in self._level(n):
+            i, last = self._level(n)
+            for f in [*self._factors[:i], last]:
                 copies.setdefault(id(f), [f, 0])[1] += 1
             hist = _level_histogram(n, [(_summarise(f), c) for f, c in copies.values()])
             if hist is not None:
@@ -274,10 +279,9 @@ class StateSequence:
         """Entropy in bits of level n: its blocks' entropies summed left to right, when factored."""
         if self._factors is not None:
             self._check_depth(n)
-            fs = self._level(n)
-            i = len(fs) - 1
-            last = self._entropies[i] if fs[i] is self._factors[i] else shannon_entropy(fs[i])
-            return float(sum([*self._entropies[:i], last]))
+            i, last = self._level(n)
+            h = self._block_entropy[id(last)] if last is self._factors[i] else shannon_entropy(last)
+            return float(self._head_entropy[i] + h)
         return von_neumann_entropy(self.eigensystem(n))
 
 
@@ -287,10 +291,6 @@ class EntropyProfile:
 
     name: str
     entries: tuple[tuple[int, float, float], ...]
-
-    @property
-    def depth(self) -> int:
-        return self.entries[-1][0] if self.entries else 0
 
     def ratios(self) -> list[float]:
         return [r for _, _, r in self.entries]
@@ -389,10 +389,10 @@ def check_coherence(state: StateSequence, depth: int, tol: float = 1e-8) -> Cohe
     devs = []
     for n in range(2, depth + 1):
         if state.has_factors:
-            *head, last = state._level(n)
-            diff = last.sum() - 1.0 if last.size == 2 else _pt_diag(last) - state._level(n - 1)[-1]
+            i, last = state._level(n)
+            diff = last.sum() - 1.0 if last.size == 2 else _pt_diag(last) - state._level(n - 1)[1]
             g = _max_abs(diff)
-            dev = math.prod(map(_max_abs, head), start=g) if g else 0.0
+            dev = math.prod(map(_max_abs, state._factors[:i]), start=g) if g else 0.0
         else:
             top, below = partial_trace_last(state.density(n)), state.density(n - 1)
             if top.is_diagonal and below.is_diagonal:

@@ -159,9 +159,19 @@ def test_deep_profile_refuses_an_uncertified_modulus():
         q.ui_profile(fam, [0.5, sup + TOP_K_ERROR / 2], 30)
     clear = q.ui_profile(fam, [sup + 4 * TOP_K_ERROR], 30)
     assert clear.entries[0].modulus == 2
-    # at a materialisable depth the same comparison is decided as before
-    shallow = q.ui_profile(q.step_family(state, 24), [sup], 24)
-    assert shallow.entries[0].modulus is not None
+    # at a materialisable depth the closed form is no more certain, so the tie is refused too
+    with pytest.raises(DimensionCapError, match="within"):
+        q.ui_profile(q.step_family(state, 24), [sup], 24)
+
+
+def test_a_shallow_closed_form_tie_is_refused():
+    # delta is the top-2^18 mass of level 20, from the materialised masses;
+    # the closed form answers it only to within TOP_K_ERROR, so m = 2 is no modulus
+    spec = q.log_power_density(2)
+    delta = q.top_k_sum(spec.cylinder_masses(20), 1 << 18)
+    fam = q.step_family(q.measure_state(spec, 20), 20)
+    with pytest.raises(DimensionCapError, match="within"):
+        q.ui_profile(fam, [delta], 20)
 
 
 def test_deep_cap_raises_dimension_cap_error():

@@ -164,6 +164,9 @@ def test_depths_below_one_and_deltas_outside_the_unit_interval_are_refused(depth
 def test_a_state_without_a_level_source_is_refused():
     with pytest.raises(ValueError, match="needs a generator or factors"):
         q.StateSequence("x", 4)
+    # nor with two: nothing would keep the generator's levels and the factors' in agreement
+    with pytest.raises(ValueError, match="needs a generator or factors, not both"):
+        q.StateSequence("x", 4, q.tracial_state(4).density, factors=[np.array([0.5, 0.5])] * 4)
 
 
 @pytest.mark.parametrize("args", [

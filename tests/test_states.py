@@ -105,6 +105,18 @@ def test_block_state_deep_entropy_is_depth_minus_markers():
     assert profile.entries[-1][:2] == (1000, 956)
 
 
+def test_block_state_entropy_profile_to_100_000_is_a_lookup_per_level():
+    start = time.perf_counter()
+    profile = q.entropy_profile(q.block_state(100_000), 100_000)
+    assert time.perf_counter() - start < 2.0
+    # H = n - B(n), B(n) the markers before qubit n: at marker b's depth B is b
+    markers = block_markers_oracle(100_000)
+    assert len(markers) == 446
+    for b, n in enumerate(markers[1:], 1):
+        assert profile.entries[n - 1][:2] == (n, n - b)
+    assert profile.entries[-1][:2] == (100_000, 100_000 - 446)
+
+
 @pytest.mark.parametrize("depth, want", [(300, [26, 28]), (1100, [48, 50])])
 def test_block_state_deep_ui_moduli(depth, want):
     # B(n) + ceil(log2(1/delta)); 0.5 and 0.25 would be exact ties
