@@ -134,12 +134,6 @@ class FailureReport:
         return bool(self.ms) and len(self.witnesses) == len(self.ms)
 
     @property
-    def argmin_m(self) -> int | None:
-        if not self.weights:
-            return None
-        return self.ms[int(np.argmin(self.weights))]
-
-    @property
     def satisfied_evidence(self) -> bool:
         return self.min_weight <= self.delta
 

@@ -42,10 +42,10 @@ from .linalg import (
     matrix_to_json,
     partial_trace_k,
     partial_trace_last,
-    shannon_entropy,
     tensor,
     top_k_sum,
     von_neumann_entropy,
+    _entropy_bits,
     _pt_diag,
     _readonly,
 )
@@ -130,11 +130,12 @@ class StateSequence:
     level is held.  ``generator`` must be deterministic and total on
     1..max_depth (up to representation caps).  ``factors`` is one sequence
     of diagonal blocks (probability vectors on one qubit or more) through
-    qubit ``max_depth``, each distinct block validated once.  Level n is
-    its prefix: the kron of the blocks that end by qubit n, times the next
-    block traced down to fit, so levels are coherent by construction and
-    exact at any depth; level n is materialised as that kron (up to the
-    diagonal cap).  Levels and their spectra are
+    qubit ``max_depth``, each distinct block validated once and held as a
+    read-only copy, so writes to the caller's arrays reach no level.
+    Level n is its prefix: the kron of the blocks that end by qubit n,
+    times the next block traced down to fit, so levels are coherent by
+    construction and exact at any depth; level n is materialised as that
+    kron (up to the diagonal cap).  Levels and their spectra are
     memoised side by side, so each level is decomposed at most once; a
     dense level's eigenvectors then live as long as the sequence.  A
     factored level's spectrum is also memoised as a histogram.  Access is
@@ -160,16 +161,19 @@ class StateSequence:
             raise TypeError(f"factors of {name!r} must be a sequence of blocks, not a callable")
         self.spec = spec
         self._generator = generator
-        self._factors = None if factors is None else tuple(factors)
-        if self._factors is not None:
-            # each distinct block object is validated, and its entropy computed, once
-            ids = list(map(id, self._factors))
-            distinct = dict(zip(ids, self._factors))
-            qubits = {i: DensityOperator.diagonal(f).qubits for i, f in distinct.items()}
-            self._block_entropy = {i: shannon_entropy(f) for i, f in distinct.items()}
+        self._factors = None
+        if factors is not None:
+            # each distinct block object is validated, and its entropy computed, once; the
+            # state holds its read-only copy, so blocks that were one object stay one object
+            factors = tuple(factors)  # holds every block, so no id is reused below
+            ids = list(map(id, factors))
+            held = {i: DensityOperator.diagonal(f) for i, f in dict(zip(ids, factors)).items()}
+            self._factors = tuple(map({i: d.probs for i, d in held.items()}.__getitem__, ids))
+            entropy = {i: _entropy_bits(d.probs) for i, d in held.items()}
             # _head_entropy[i]: the entropies of blocks [:i] summed left to right from 0.0
             self._head_entropy = np.fromiter(itertools.accumulate(
-                map(self._block_entropy.__getitem__, ids), initial=0.0), float, len(ids) + 1)
+                map(entropy.__getitem__, ids), initial=0.0), float, len(ids) + 1)
+            qubits = {i: d.qubits for i, d in held.items()}
             self._ends = list(itertools.accumulate(map(qubits.__getitem__, ids)))
             if min(qubits.values(), default=0) < 1 or self._ends[-1] < self.max_depth:
                 raise BadDimensionError(
@@ -211,10 +215,10 @@ class StateSequence:
     def _kron_factors(self, n: int) -> DensityOperator:
         if n > DIAG_QUBIT_CAP:
             raise DimensionCapError(f"cannot materialise {n} qubits")
-        # every block was validated at construction, so their product is clipped, not re-checked
+        # the blocks are validated nonnegative copies, so their product needs no check
         i, last = self._level(n)
         out = functools.reduce(np.kron, [*self._factors[:i], last], np.ones(1))
-        return DensityOperator(qubits=n, probs=_readonly(np.clip(out, 0.0, None, out=out)))
+        return DensityOperator(qubits=n, probs=_readonly(out))
 
     @property
     def has_factors(self) -> bool:
@@ -280,8 +284,9 @@ class StateSequence:
         if self._factors is not None:
             self._check_depth(n)
             i, last = self._level(n)
-            h = self._block_entropy[id(last)] if last is self._factors[i] else shannon_entropy(last)
-            return float(self._head_entropy[i] + h)
+            if last is self._factors[i]:
+                return float(self._head_entropy[i + 1])
+            return float(self._head_entropy[i] + _entropy_bits(last))
         return von_neumann_entropy(self.eigensystem(n))
 
 
@@ -486,8 +491,7 @@ def block_state(max_depth: int) -> StateSequence:
     level is a product of one-qubit factors: counting from 0, qubit j is
     the marker [1, 0] when j is a checkpoint and [1/2, 1/2] otherwise.
     """
-    # two read-only arrays, shared by every level
-    e0, half = _readonly(np.array([1.0, 0.0])), _readonly(np.array([0.5, 0.5]))
+    e0, half = np.array([1.0, 0.0]), np.array([0.5, 0.5])
     checkpoints = map(block_checkpoint, itertools.count())
     marks = set(itertools.takewhile(lambda c: c < max_depth, checkpoints))
     return StateSequence(
@@ -533,67 +537,42 @@ class DensitySpec:
     """A probability density on (0, 1) defining dyadic cylinder masses.
 
     With a closed-form antiderivative the mass of [a, b) is F(b) - F(a),
-    exact up to rounding; otherwise masses come from adaptive quadrature of
-    the density at the deepest requested level and are summed pairwise
-    upward, which makes the parent-child mass identity exact by
-    construction.
+    exact up to rounding; otherwise each cell of the level is integrated
+    by adaptive quadrature, so a level's masses never depend on which
+    levels were read before it.  The total mass is the depth-0 mass, the
+    one cell [0, 1).
     """
 
     density: Callable
     antiderivative: Callable | None = None
     name: str = "density"
-    _leaf_cache: dict = field(default_factory=dict, repr=False, compare=False)
     #: (n, k) -> the top-k mass of level n in closed form, for densities that have one
     _top_k: Callable[[int, int], float] | None = field(default=None, repr=False, compare=False)
     #: the name `density_by_name` rebuilds this density from, for densities that have one
     _recipe: str | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        total = self.total_mass()
+        total = float(self.cylinder_masses(0)[0])
         # written so that a NaN total fails too
         if not abs(total - 1.0) <= _NORM_TOL:
             raise WrongTraceError(f"density integrates to {total}, not 1")
-
-    def total_mass(self) -> float:
-        if self.antiderivative is not None:
-            return float(self.antiderivative(np.array([1.0]))[0] - self.antiderivative(np.array([0.0]))[0])
-        from scipy.integrate import quad
-
-        val, _ = quad(self.density, 0.0, 1.0, epsabs=_QUAD_TOL, limit=500)
-        return float(val)
 
     def cylinder_masses(self, depth: int) -> np.ndarray:
         """Masses of the 2^depth dyadic cylinders, left to right."""
         if depth > DIAG_QUBIT_CAP:
             raise DimensionCapError(f"depth {depth} exceeds diagonal cap")
+        xs = np.linspace(0.0, 1.0, (1 << depth) + 1)
         if self.antiderivative is not None:
             # the grid's buffer takes the differences, so only F(grid) is extra
-            xs = np.linspace(0.0, 1.0, (1 << depth) + 1)
             fx = self.antiderivative(xs)
             masses = np.subtract(fx[1:], fx[:-1], out=xs[:-1])
             del fx
-            return np.clip(masses, 0.0, None, out=masses)
-        leaves = self._leaf_cache.get(depth)
-        if leaves is None:
-            deepest = max([depth] + list(self._leaf_cache))
-            base = self._leaf_cache.get(deepest)
-            if base is None:
-                from scipy.integrate import quad
+        else:
+            from scipy.integrate import quad
 
-                xs = np.linspace(0.0, 1.0, (1 << deepest) + 1)
-                base = np.array(
-                    [
-                        quad(self.density, xs[i], xs[i + 1], epsabs=_QUAD_TOL, limit=200)[0]
-                        for i in range(xs.size - 1)
-                    ]
-                )
-                self._leaf_cache[deepest] = base
-            leaves = base
-            for lev in range(deepest - 1, depth - 1, -1):
-                leaves = leaves.reshape(-1, 2).sum(axis=1)
-                self._leaf_cache.setdefault(lev, leaves)
-            self._leaf_cache.setdefault(depth, leaves)
-        return np.clip(leaves, 0.0, None)
+            masses = np.array([quad(self.density, a, b, epsabs=_QUAD_TOL, limit=500)[0]
+                               for a, b in itertools.pairwise(xs)])
+        return np.clip(masses, 0.0, None, out=masses)
 
 
 #: deepest level with closed-form top-k masses: the depth to which they are
@@ -665,14 +644,18 @@ def _log_power_top_k(p: float) -> Callable[[int, int], float]:
     integer.
 
     The search starts at twice the split of (n-1, k/2), which is where a
-    builder's climbing scan makes its next query, and stops at a tie.
+    builder's climbing scan makes its next query, and stops at a tie.  The
+    start moves where a tie stops it, so a query asked after (n-1, k/2) can
+    differ in its last bits from the same query asked first, within
+    `TOP_K_ERROR`; two queries asked first agree bit for bit.
     """
     q = 1.0 - p
     valley = math.exp(q)
     # floor(e^q 2^n) for the valley cell, in integers
     valley_num, valley_den = valley.as_integer_ratio()
     # (n, k on the grid) -> split on the grid, the starting guess for (n+1, 2k)
-    # in a builder's scan: only a guess, so racing threads cannot spoil a result
+    # in a builder's scan; a guess, a racing thread's too, moves only the tie
+    # the search stops at, so it keeps a result within TOP_K_ERROR
     splits: dict[tuple[int, int], int] = {}
 
     def cell(x: int, frac: float, g: int, s: int) -> tuple[float | None, float]:

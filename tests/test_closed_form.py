@@ -26,6 +26,21 @@ from conftest import log_power_top_k_oracle
 PS = (1.5, 2, 2.5, 3, 10)
 
 
+def test_a_split_guess_moves_a_top_k_mass_only_within_its_error_bound():
+    # asking (n-1, k/2) first seeds the split search of (n, k), which may then
+    # stop at another point of a tie: at p = 2, n = 48 and k = 2^46 the two
+    # answers differ in the last bit; two first queries agree bit for bit
+    for p in (1.5, 2, 3):
+        for n in range(44, 57):
+            for k in ((1 << (n - 2)) - 1, 1 << (n - 2), (1 << (n - 3)) + 1):
+                fresh = q.measure_state(q.log_power_density(p), n).top_k_mass(n, k)
+                again = q.measure_state(q.log_power_density(p), n).top_k_mass(n, k)
+                warm = q.measure_state(q.log_power_density(p), n)
+                warm.top_k_mass(n - 1, k >> 1)
+                assert again == fresh, (p, n, k)
+                assert abs(warm.top_k_mass(n, k) - fresh) <= TOP_K_ERROR, (p, n, k)
+
+
 @pytest.mark.parametrize("p", PS)
 def test_top_k_mass_matches_materialised_spectrum(p):
     rng = np.random.default_rng(int(10 * p))

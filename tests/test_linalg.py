@@ -212,6 +212,17 @@ def test_projection_weight_matches_top_k(rng):
         assert q.projection_weight(d, proj) == pytest.approx(q.top_k_sum(s, k), abs=1e-9)
 
 
+def test_projection_weight_dense_projection_on_diagonal_state(rng):
+    # a diagonal state against a dense projection agrees with its dense twin
+    for _ in range(20):
+        probs = rng.dirichlet(np.ones(8))
+        g = haar_projection_oracle(rng, 3, int(rng.integers(1, 9)))
+        diag = q.DensityOperator.diagonal(probs)
+        dense = q.DensityOperator.dense(np.diag(probs).astype(complex))
+        assert diag.is_diagonal and g.matrix is not None
+        assert abs(q.projection_weight(diag, g) - q.projection_weight(dense, g)) <= 1e-15
+
+
 def test_projection_bound_randomized(rng):
     # the rank-k cap: no projection beats the top-k eigenvalue mass
     for _ in range(200):

@@ -36,6 +36,26 @@ def test_block_state_test_terms():
         assert term.projector.rank == 1 << (term.qubits - m)
 
 
+def test_block_state_test_order_bounds():
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        q.block_state_test(0)
+    assert q.block_checkpoint(9) == 54 and q.block_state_test(9).qubits == 54
+    # order 10's checkpoint register has 65 qubits, past the 64 supported
+    assert q.block_checkpoint(10) == 65
+    with pytest.raises(DimensionCapError, match="checkpoint register"):
+        q.block_state_test(10)
+
+
+def test_projection_sequence_refuses_bad_terms():
+    t1, t2 = q.block_state_test(1), q.block_state_test(2)
+    for terms in ((t1, t1), (t2, t1)):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            q.ProjectionSequence(terms=terms)
+    mismatch = q.TestTerm(m=3, qubits=3, projector=q.Projection.from_basis(2, [0]))
+    with pytest.raises(BadDimensionError, match="m=3 qubit count mismatch"):
+        q.ProjectionSequence(terms=(t1, mismatch))
+
+
 def test_block_state_full_weight():
     b = q.block_state(44)
     for m in range(1, 9):

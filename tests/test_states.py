@@ -49,6 +49,16 @@ def test_pure_bitstring_index_convention():
     assert np.allclose(s.density(2).probs, [0, 0, 1, 0])
 
 
+def test_pure_bitstring_bit_sources():
+    ints = q.pure_bitstring_state([0, 1, 1, 0], 4)
+    assert ints.spec["bits"] == "0110"
+    assert np.array_equal(ints.density(4).probs, np.eye(16)[0b0110])
+    with pytest.raises(ValueError, match="only 0 and 1"):
+        q.pure_bitstring_state("012", 3)
+    with pytest.raises(TypeError, match="string or an iterable"):
+        q.pure_bitstring_state(5, 1)
+
+
 def test_pure_bitstring_source_exhausted():
     with pytest.raises(SourceExhaustedError):
         q.pure_bitstring_state("0101", 10)
@@ -248,7 +258,7 @@ def test_measure_state_quadrature_path_matches_closed_form():
     masses = s.density(8).probs
     xs = np.linspace(0, 1, 257)
     assert np.abs(masses - np.diff(xs**2)).max() < 1e-10
-    # leaf aggregation keeps coherence exact
+    # each level integrates its own cells, and quadrature of 2x is exact to rounding
     assert q.check_coherence(s, 8, 1e-15).passed
 
 
@@ -368,6 +378,58 @@ def test_factored_state_ui_moduli_equal_the_sup_over_its_levels():
     levels = [s.density(n) for n in range(1, 7)]
     profile = q.ui_profile(q.step_family(s, 6), [0.9, 0.5], 6)
     assert [e.modulus for e in profile.entries] == _listed_sup_moduli(levels, [0.9, 0.5]) == [2, 2]
+
+
+def test_a_callers_block_written_after_construction_reaches_no_level():
+    b = np.array([0.5, 0.5])
+    pair = np.array([0.4, 0.3, 0.2, 0.1])
+    s = q.StateSequence("t", 4, factors=[b] * 4)
+    mixed = q.StateSequence("mixed", 5, factors=[b, pair, pair])
+    assert s.entropy(3) == 3.0
+    b[:] = [1.0, 0.0]
+    pair[:] = [1.0, 0.0, 0.0, 0.0]
+    assert b.flags.writeable  # the caller's array is copied, not frozen
+    assert [s.entropy(n) for n in range(1, 5)] == [1.0, 2.0, 3.0, 4.0]
+    assert np.array_equal(s.density(2).probs, [0.25] * 4)
+    h = s.histogram(3)
+    assert (h.values, h.multiplicities) == ((0.125,), (8,))
+    assert q.check_coherence(s, 4).deviations == ((2, 0.0), (3, 0.0), (4, 0.0))
+    # qubit 4 is half of the second 2-qubit block, traced from the held copy
+    kept = np.kron(np.kron([0.5, 0.5], [0.4, 0.3, 0.2, 0.1]), [0.4 + 0.3, 0.2 + 0.1])
+    assert np.array_equal(mixed.density(4).probs, kept)
+    assert mixed.entropy(4) == pytest.approx(entropy_oracle(kept), abs=1e-12)
+    assert mixed.entropy(5) == pytest.approx(1.0 + 2 * entropy_oracle([0.4, 0.3, 0.2, 0.1]), abs=1e-12)
+
+
+def test_blocks_from_a_generator_are_each_held():
+    # fresh arrays made one at a time: each must stay alive to keep its own id
+    s = q.StateSequence("gen", 40, factors=(np.array([0.7, 0.3]) for _ in range(40)))
+    assert s.entropy(40) == pytest.approx(40 * entropy_oracle([0.7, 0.3]), rel=1e-12)
+    assert np.array_equal(s.density(2).probs, np.kron([0.7, 0.3], [0.7, 0.3]))
+
+
+@pytest.mark.parametrize("make, depth", [
+    (lambda: q.tracial_state(40), 40),
+    (lambda: q.pure_bitstring_state("0110" * 10, 40), 40),
+    (lambda: q.block_state(40), 40),
+    (lambda: q.tensor_power_state(q.DensityOperator.diagonal(np.array([0.4, 0.3, 0.2, 0.1])), 40), 40),
+], ids=["tracial", "pure", "block", "power"])
+def test_factored_blocks_are_read_only(make, depth):
+    blocks = make().diag_factors(depth)
+    assert len(blocks) >= 20 and not any(f.flags.writeable for f in blocks)
+    with pytest.raises(ValueError, match="read-only"):
+        blocks[0][0] = 1.0
+
+
+def test_quadrature_levels_do_not_depend_on_access_order():
+    def sine(x):
+        return 1.0 + 0.5 * np.sin(2 * np.pi * x)
+
+    for n in range(1, 6):
+        fresh = q.measure_state(q.DensitySpec(density=sine, name="sine"), 10)
+        warm = q.measure_state(q.DensitySpec(density=sine, name="sine"), 10)
+        warm.density(n + 3)
+        assert warm.density(n).probs.tobytes() == fresh.density(n).probs.tobytes(), n
 
 
 def test_state_sequence_depth_bounds():
