@@ -151,8 +151,10 @@ class Spectrum:
     """Eigenvalues sorted descending, with eigenvectors or basis labels.
 
     Ties are broken by ascending original index (stable sort), which makes
-    top-k projectors deterministic.  Diagonal operators carry the
-    computational-basis labels of their sorted entries instead of vectors.
+    top-k projectors deterministic; for a level of dense blocks the index
+    is the product basis, the kron of the blocks' sorted eigenvectors.
+    Diagonal operators carry the computational-basis labels of their
+    sorted entries instead of vectors.
     """
 
     eigenvalues: np.ndarray
@@ -322,7 +324,8 @@ def eigendecompose(d: DensityOperator) -> Spectrum:
 
     Eigenvalues are clipped to [0, 1] and renormalised; the descending
     order breaks ties by ascending original index (eigh output order for
-    dense operators, computational-basis order for diagonal ones).
+    dense operators, computational-basis order for diagonal ones; a level
+    of dense blocks, in `StateSequence.eigensystem`, uses product-basis order).
     """
     if d.is_diagonal:
         w = _clean_eigenvalues(d.probs.astype(float))

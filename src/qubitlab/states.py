@@ -8,12 +8,12 @@ while a cheap projection sequence still pins it, tensor powers of a fixed
 operator, and diagonal sequences induced by a probability density on the
 unit interval.
 
-Sequences whose levels are tensor products of small diagonal blocks also
-carry that factorisation, which lets entropy and coherence reach depths
-far beyond anything a materialised 2^n vector could.  The spectrum of
-such a level is a product of the factors' spectra, so by the method of
-types it is an exact histogram of distinct values with integer
-multiplicities, usually far shorter than 2^n.
+Sequences whose levels are tensor products of small blocks also carry
+that factorisation, which lets entropy and coherence reach depths far
+beyond anything a materialised 2^n vector could.  The spectrum of such a
+level is a product of the blocks' spectra (a dense block's is decomposed
+once), so by the method of types it is an exact histogram of distinct
+values with integer multiplicities, usually far shorter than 2^n.
 """
 
 from __future__ import annotations
@@ -40,12 +40,13 @@ from .linalg import (
     eigendecompose,
     matrix_from_json,
     matrix_to_json,
-    partial_trace_k,
     partial_trace_last,
-    tensor,
+    qubit_count,
     top_k_sum,
+    validate_density,
     von_neumann_entropy,
     _entropy_bits,
+    _pt_dense,
     _pt_diag,
     _readonly,
 )
@@ -129,17 +130,18 @@ class StateSequence:
     A state takes exactly one level source, and the source decides how a
     level is held.  ``generator`` must be deterministic and total on
     1..max_depth (up to representation caps).  ``factors`` is one sequence
-    of diagonal blocks (probability vectors on one qubit or more) through
-    qubit ``max_depth``, each distinct block validated once and held as a
-    read-only copy, so writes to the caller's arrays reach no level.
-    Level n is its prefix: the kron of the blocks that end by qubit n,
-    times the next block traced down to fit, so levels are coherent by
-    construction and exact at any depth; level n is materialised as that
-    kron (up to the diagonal cap).  Levels and their spectra are
-    memoised side by side, so each level is decomposed at most once; a
-    dense level's eigenvectors then live as long as the sequence.  A
-    factored level's spectrum is also memoised as a histogram.  Access is
-    thread-safe.
+    of probability vectors, or of dense density matrices, on one qubit or
+    more through qubit ``max_depth``, each distinct block validated once
+    and held as a read-only copy, so writes to the caller's arrays reach
+    no level.  Level n is its prefix: the kron of the blocks that end by
+    qubit n, times the next block traced down to fit, so levels are
+    coherent by construction; level n is materialised as that kron, and
+    dense blocks refuse a ``max_depth`` past the dense cap.  Levels and
+    their spectra are memoised side by side, so each level is decomposed
+    at most once; dense blocks and their traces are decomposed instead,
+    and a level's eigenvectors, their kron, live from its first query as
+    long as the sequence.  A factored level's spectrum is also memoised as
+    a histogram.  Access is thread-safe.
     """
 
     def __init__(
@@ -162,14 +164,25 @@ class StateSequence:
         self.spec = spec
         self._generator = generator
         self._factors = None
+        self._dense = False
         if factors is not None:
-            # each distinct block object is validated, and its entropy computed, once; the
-            # state holds its read-only copy, so blocks that were one object stay one object
+            # each distinct block object (all dense matrices if the first is) is validated, and
+            # its entropy computed, once; the state holds one read-only copy per distinct object
             factors = tuple(factors)  # holds every block, so no id is reused below
             ids = list(map(id, factors))
-            held = {i: DensityOperator.diagonal(f) for i, f in dict(zip(ids, factors)).items()}
-            self._factors = tuple(map({i: d.probs for i, d in held.items()}.__getitem__, ids))
-            entropy = {i: _entropy_bits(d.probs) for i, d in held.items()}
+            self._dense = bool(factors) and np.ndim(factors[0]) == 2
+            held = {i: DensityOperator.diagonal(f) if not self._dense else validate_density(
+                np.array(f, dtype=complex), 1e-8) for i, f in dict(zip(ids, factors)).items()}
+            if self._dense and self.max_depth > DENSE_QUBIT_CAP:
+                raise DimensionCapError(f"depth {max_depth} passes the dense cap {DENSE_QUBIT_CAP}")
+            arrays = {i: d.probs if d.is_diagonal else d.matrix for i, d in held.items()}
+            self._factors = tuple(map(arrays.__getitem__, ids))
+            # dense blocks' traces by (id, cut), and eigensystems by id; all held, so ids stay
+            self._traced = {(id(a), c): _readonly(_pt_dense(a, c)) for a in arrays.values()
+                            if a.ndim == 2 for c in range(1, qubit_count(len(a)))}
+            self._eigen = {id(a): eigendecompose(DensityOperator(qubit_count(len(a)), a))
+                           for a in [*arrays.values(), *self._traced.values()] if a.ndim == 2}
+            entropy = {i: _entropy_bits(self._values(a)) for i, a in arrays.items()}
             # _head_entropy[i]: the entropies of blocks [:i] summed left to right from 0.0
             self._head_entropy = np.fromiter(itertools.accumulate(
                 map(entropy.__getitem__, ids), initial=0.0), float, len(ids) + 1)
@@ -208,35 +221,50 @@ class StateSequence:
 
     def _level(self, n: int) -> tuple[int, np.ndarray]:
         """Factored level n as (i, last): blocks [:i] end by qubit n, and last is block i traced to fit."""
+        self._check_depth(n)
         i = bisect.bisect_left(self._ends, n)
-        cut = self._ends[i] - n
-        return i, _pt_diag(self._factors[i], cut) if cut else self._factors[i]
+        f, cut = self._factors[i], self._ends[i] - n
+        return i, (_pt_diag(f, cut) if f.ndim == 1 else self._traced[id(f), cut]) if cut else f
+
+    def _values(self, a: np.ndarray) -> np.ndarray:
+        """A block's eigenvalues: its probabilities, or a dense block's descending spectrum."""
+        return a if a.ndim == 1 else self._eigen[id(a)].eigenvalues
+
+    def _product(self, n: int, part: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """The kron of part(block) over the blocks of factored level n."""
+        i, last = self._level(n)
+        return functools.reduce(np.kron, map(part, (*self._factors[:i], last)))
 
     def _kron_factors(self, n: int) -> DensityOperator:
         if n > DIAG_QUBIT_CAP:
             raise DimensionCapError(f"cannot materialise {n} qubits")
-        # the blocks are validated nonnegative copies, so their product needs no check
-        i, last = self._level(n)
-        out = functools.reduce(np.kron, [*self._factors[:i], last], np.ones(1))
-        return DensityOperator(qubits=n, probs=_readonly(out))
+        # the blocks are validated copies, so their product needs no check
+        out = _readonly(self._product(n, np.asarray))
+        return DensityOperator(n, matrix=out) if self._dense else DensityOperator(n, probs=out)
 
     @property
     def has_factors(self) -> bool:
         return self._factors is not None
 
     def diag_factors(self, n: int) -> list[np.ndarray]:
-        self._check_depth(n)
-        if self._factors is None:
-            raise BadDimensionError(f"{self.name} has no factored form")
+        if self._factors is None or self._dense:
+            raise BadDimensionError(f"{self.name} has no diagonal factored form")
         i, last = self._level(n)
         return [*self._factors[:i], last]
 
     def eigensystem(self, n: int) -> Spectrum:
-        """Memoised spectrum of level n (materialised levels only)."""
-        return self._memo(self._spectra, n, lambda: eigendecompose(self.density(n)))
+        """Memoised spectrum of level n; with dense blocks, the sorted kron of theirs."""
+        make = self._kron_spectrum if self._dense else lambda n: eigendecompose(self.density(n))
+        return self._memo(self._spectra, n, lambda: make(n))
+
+    def _kron_spectrum(self, n: int) -> Spectrum:
+        w = self._product(n, self._values)
+        v = self._product(n, lambda a: self._eigen[id(a)].eigenvectors)
+        order = np.argsort(-w, kind="stable")
+        return Spectrum(eigenvalues=_readonly(w[order]), eigenvectors=_readonly(v[:, order]))
 
     def spectrum(self, n: int) -> np.ndarray:
-        """Descending eigenvalues of level n (materialised levels only)."""
+        """Descending eigenvalues of level n (materialised or dense-block levels only)."""
         return self.eigensystem(n).eigenvalues
 
     def histogram(self, n: int) -> SpectrumHistogram | None:
@@ -246,7 +274,7 @@ class StateSequence:
         and the factors' histograms multiply with equal values merged.
         None for an unfactored state, and for a level whose type classes
         would cost more than sorting its spectrum (see `_level_histogram`);
-        `top_k_mass` then reads the materialised spectrum.  Values that
+        `top_k_mass` then sorts the level's eigenvalues.  Values that
         underflow are lost, so a histogram whose multiplicities times values
         miss 1 by more than `TOP_K_ERROR` raises DimensionCapError rather
         than give wrong masses.
@@ -261,7 +289,7 @@ class StateSequence:
             i, last = self._level(n)
             for f in [*self._factors[:i], last]:
                 copies.setdefault(id(f), [f, 0])[1] += 1
-            hist = _level_histogram(n, [(_summarise(f), c) for f, c in copies.values()])
+            hist = _level_histogram(n, [(_summarise(self._values(f)), c) for f, c in copies.values()])
             if hist is not None:
                 mass = top_k_sum(hist, 1 << n)
                 if not abs(mass - 1.0) <= TOP_K_ERROR:
@@ -277,16 +305,17 @@ class StateSequence:
             self._check_depth(n)
             return self._top_k(n, k)
         hist = self.histogram(n)
-        return top_k_sum(self.eigensystem(n) if hist is None else hist, k)
+        if hist is None:  # a dense level's eigenvalues need no eigenvectors
+            hist = self._product(n, self._values) if self._dense else self.eigensystem(n)
+        return top_k_sum(hist, k)
 
     def entropy(self, n: int) -> float:
         """Entropy in bits of level n: its blocks' entropies summed left to right, when factored."""
         if self._factors is not None:
-            self._check_depth(n)
             i, last = self._level(n)
             if last is self._factors[i]:
                 return float(self._head_entropy[i + 1])
-            return float(self._head_entropy[i] + _entropy_bits(last))
+            return float(self._head_entropy[i] + _entropy_bits(self._values(last)))
         return von_neumann_entropy(self.eigensystem(n))
 
 
@@ -387,7 +416,7 @@ def check_coherence(state: StateSequence, depth: int, tol: float = 1e-8) -> Cohe
     """Verify that tracing level n reproduces level n-1, for 2 <= n <= depth.
 
     Factored levels n and n-1 share all blocks but the last, so the
-    deviation is exactly sup(head) times g: |sum(last) - 1| for a one-qubit
+    deviation is exactly sup(head) times g: |tr(last) - 1| for a one-qubit
     last block, else sup|tr_1(last) - last'| against level n-1's last one.
     """
     _check_scan(state, depth)
@@ -395,8 +424,8 @@ def check_coherence(state: StateSequence, depth: int, tol: float = 1e-8) -> Cohe
     for n in range(2, depth + 1):
         if state.has_factors:
             i, last = state._level(n)
-            diff = last.sum() - 1.0 if last.size == 2 else _pt_diag(last) - state._level(n - 1)[1]
-            g = _max_abs(diff)
+            traced = _pt_diag(last) if last.ndim == 1 else _pt_dense(last)
+            g = _max_abs(traced - (1.0 if len(last) == 2 else state._level(n - 1)[1]))
             dev = math.prod(map(_max_abs, state._factors[:i]), start=g) if g else 0.0
         else:
             top, below = partial_trace_last(state.density(n)), state.density(n - 1)
@@ -453,7 +482,7 @@ def _coerce_bits(bits, count: int) -> str:
     if isinstance(bits, str):
         out = bits
     elif isinstance(bits, Iterable):
-        out = "".join(str(int(b)) for b in bits)
+        out = "".join("1" if b == 1 else "0" if b == 0 else "?" for b in bits)
     else:
         raise TypeError("bits must be a string or an iterable of 0/1")
     if len(out) < count:
@@ -505,27 +534,15 @@ def block_state(max_depth: int) -> StateSequence:
 def tensor_power_state(
     d: DensityOperator, max_depth: int, *, name: str | None = None
 ) -> StateSequence:
-    """Independent copies of a fixed k-qubit operator, traced to every depth."""
+    """Independent copies of a fixed k-qubit operator, traced to every depth.
+
+    The copies are the blocks, so a dense operator is decomposed once (see `StateSequence`).
+    """
     k = d.qubits
     label = name or f"power:{k}q"
     spec = {"kind": "tensor_power", "n_max": max_depth, "factor": matrix_to_json(d)}
-    if d.is_diagonal:
-        return StateSequence(label, max_depth, factors=[d.probs] * -(-max_depth // k), spec=spec)
-    top = -(-max_depth // k) * k
-    if top > DENSE_QUBIT_CAP:
-        raise DimensionCapError(
-            f"depth {max_depth} needs {top} dense qubits, cap is {DENSE_QUBIT_CAP}"
-        )
-
-    def gen(n: int) -> DensityOperator:
-        q, r = divmod(n, k)
-        copies = q + (1 if r else 0)
-        full = d
-        for _ in range(copies - 1):
-            full = tensor(full, d)
-        return partial_trace_k(full, copies * k - n)
-
-    return StateSequence(label, max_depth, gen, spec=spec)
+    block = d.probs if d.is_diagonal else d.matrix
+    return StateSequence(label, max_depth, factors=[block] * -(-max_depth // k), spec=spec)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -68,6 +69,27 @@ def ui_moduli_oracle(top: np.ndarray, deltas) -> list:
         for m in range(1, depth + 1)
     }
     return [next((m for m in sorted(sup) if sup[m] <= d), None) for d in deltas]
+
+
+def power_spectrum_oracle(factor: np.ndarray, n: int) -> tuple[list[float], float]:
+    """Descending spectrum and entropy in bits of level n of a k-qubit factor's tensor power.
+
+    Level n = q k + r is q copies of the factor times the factor with its
+    last k - r qubits traced out, here by an explicit einsum.  Its
+    eigenvalues are every product of `numpy.linalg.eigvalsh` eigenvalues of
+    the copies and of the trace (`itertools.product`, no kron, no `eigh` of
+    the level), and its entropy sums their -v log2 v with `math.fsum`.
+    """
+    m = np.asarray(factor)
+    k = int(m.shape[0]).bit_length() - 1
+    copies, r = divmod(n, k)
+    parts = [np.clip(np.linalg.eigvalsh(m), 0.0, None).tolist()] * copies
+    if r:
+        cut = 1 << (k - r)
+        traced = np.einsum("iaja->ij", m.reshape(1 << r, cut, 1 << r, cut))
+        parts.append(np.clip(np.linalg.eigvalsh(traced), 0.0, None).tolist())
+    values = sorted((math.prod(c) for c in itertools.product(*parts)), reverse=True)
+    return values, math.fsum(-v * math.log2(v) for v in values if v > 0)
 
 
 def random_descending(rng, size: int, concentration: float = 1.0) -> np.ndarray:

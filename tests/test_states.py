@@ -59,6 +59,17 @@ def test_pure_bitstring_bit_sources():
         q.pure_bitstring_state(5, 1)
 
 
+def test_pure_bitstring_entries_must_equal_0_or_1():
+    # a fractional entry once truncated (0.7 read as 0, 1.9 as 1) and NaN raised numpy's
+    # own conversion error; both now get the bit-source ValueError, and booleans still count
+    for bits in ([0.7, 1.9], [0, float("nan")], ["0", "1"], [2, 0]):
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            q.pure_bitstring_state(bits, 2)
+    state = q.pure_bitstring_state([True, 0], 2)
+    assert state.spec["bits"] == "10"
+    assert np.array_equal(state.density(2).probs, np.eye(4)[0b10])
+
+
 def test_pure_bitstring_source_exhausted():
     with pytest.raises(SourceExhaustedError):
         q.pure_bitstring_state("0101", 10)
@@ -462,7 +473,10 @@ def test_state_sequence_thread_safe_memoisation():
             assert all(w is spectra[0] for w in spectra)
     finally:
         sys.setswitchinterval(interval)
-    assert np.array_equal(spectra[0], q.eigendecompose(dense.density(6)).eigenvalues)
+    # a dense power's spectrum is the sorted product of its factor's: bitwise a fresh
+    # state's, and eigh's of the materialised level within rounding
+    assert np.array_equal(spectra[0], q.tensor_power_state(factor, 6).spectrum(6))
+    assert np.abs(spectra[0] - q.eigendecompose(dense.density(6)).eigenvalues).max() <= 1e-14
 
 
 def _log_power_masses_reference(p: float, depth: int) -> np.ndarray:
