@@ -234,7 +234,7 @@ def state_weight(state: StateSequence, n: int, g: Projection) -> float:
     """Tr(rho_n G): by diagonal blocks when state and projection have them, else materialised."""
     if g.qubits != n:
         raise BadDimensionError(f"projection on {g.qubits} qubits, depth {n}")
-    if state.has_factors and not state._dense and g.matrix is None:
+    if state.has_diag_factors and g.matrix is None:
         proj_factors = g.factors if g.factors is not None else ((n, g.basis_indices),)
         try:
             return _grouped_factor_weight(state.diag_factors(n), proj_factors)

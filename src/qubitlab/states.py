@@ -163,30 +163,28 @@ class StateSequence:
             raise TypeError(f"factors of {name!r} must be a sequence of blocks, not a callable")
         self.spec = spec
         self._generator = generator
-        self._factors = None
-        self._dense = False
+        self._factors, self._dense = None, False
         if factors is not None:
             # each distinct block object (all dense matrices if the first is) is validated, and
             # its entropy computed, once; the state holds one read-only copy per distinct object
             factors = tuple(factors)  # holds every block, so no id is reused below
             ids = list(map(id, factors))
             self._dense = bool(factors) and np.ndim(factors[0]) == 2
-            held = {i: DensityOperator.diagonal(f) if not self._dense else validate_density(
-                np.array(f, dtype=complex), 1e-8) for i, f in dict(zip(ids, factors)).items()}
+            arrays = {i: validate_density(np.array(f, dtype=complex), 1e-8).matrix if self._dense
+                      else DensityOperator.diagonal(f).probs for i, f in dict(zip(ids, factors)).items()}
             if self._dense and self.max_depth > DENSE_QUBIT_CAP:
                 raise DimensionCapError(f"depth {max_depth} passes the dense cap {DENSE_QUBIT_CAP}")
-            arrays = {i: d.probs if d.is_diagonal else d.matrix for i, d in held.items()}
             self._factors = tuple(map(arrays.__getitem__, ids))
             # dense blocks' traces by (id, cut), and eigensystems by id; all held, so ids stay
             self._traced = {(id(a), c): _readonly(_pt_dense(a, c)) for a in arrays.values()
-                            if a.ndim == 2 for c in range(1, qubit_count(len(a)))}
+                            if self._dense for c in range(1, qubit_count(len(a)))}
             self._eigen = {id(a): eigendecompose(DensityOperator(qubit_count(len(a)), a))
-                           for a in [*arrays.values(), *self._traced.values()] if a.ndim == 2}
+                           for a in [*arrays.values(), *self._traced.values()] if self._dense}
             entropy = {i: _entropy_bits(self._values(a)) for i, a in arrays.items()}
             # _head_entropy[i]: the entropies of blocks [:i] summed left to right from 0.0
             self._head_entropy = np.fromiter(itertools.accumulate(
                 map(entropy.__getitem__, ids), initial=0.0), float, len(ids) + 1)
-            qubits = {i: d.qubits for i, d in held.items()}
+            qubits = {i: qubit_count(len(a)) for i, a in arrays.items()}
             self._ends = list(itertools.accumulate(map(qubits.__getitem__, ids)))
             if min(qubits.values(), default=0) < 1 or self._ends[-1] < self.max_depth:
                 raise BadDimensionError(
@@ -224,11 +222,11 @@ class StateSequence:
         self._check_depth(n)
         i = bisect.bisect_left(self._ends, n)
         f, cut = self._factors[i], self._ends[i] - n
-        return i, (_pt_diag(f, cut) if f.ndim == 1 else self._traced[id(f), cut]) if cut else f
+        return i, (self._traced[id(f), cut] if self._dense else _pt_diag(f, cut)) if cut else f
 
     def _values(self, a: np.ndarray) -> np.ndarray:
         """A block's eigenvalues: its probabilities, or a dense block's descending spectrum."""
-        return a if a.ndim == 1 else self._eigen[id(a)].eigenvalues
+        return self._eigen[id(a)].eigenvalues if self._dense else a
 
     def _product(self, n: int, part: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """The kron of part(block) over the blocks of factored level n."""
@@ -246,8 +244,12 @@ class StateSequence:
     def has_factors(self) -> bool:
         return self._factors is not None
 
+    @property
+    def has_diag_factors(self) -> bool:
+        return self._factors is not None and not self._dense
+
     def diag_factors(self, n: int) -> list[np.ndarray]:
-        if self._factors is None or self._dense:
+        if not self.has_diag_factors:
             raise BadDimensionError(f"{self.name} has no diagonal factored form")
         i, last = self._level(n)
         return [*self._factors[:i], last]
@@ -305,9 +307,7 @@ class StateSequence:
             self._check_depth(n)
             return self._top_k(n, k)
         hist = self.histogram(n)
-        if hist is None:  # a dense level's eigenvalues need no eigenvectors
-            hist = self._product(n, self._values) if self._dense else self.eigensystem(n)
-        return top_k_sum(hist, k)
+        return top_k_sum(self.eigensystem(n) if hist is None else hist, k)
 
     def entropy(self, n: int) -> float:
         """Entropy in bits of level n: its blocks' entropies summed left to right, when factored."""
@@ -424,7 +424,7 @@ def check_coherence(state: StateSequence, depth: int, tol: float = 1e-8) -> Cohe
     for n in range(2, depth + 1):
         if state.has_factors:
             i, last = state._level(n)
-            traced = _pt_diag(last) if last.ndim == 1 else _pt_dense(last)
+            traced = _pt_dense(last) if state._dense else _pt_diag(last)
             g = _max_abs(traced - (1.0 if len(last) == 2 else state._level(n - 1)[1]))
             dev = math.prod(map(_max_abs, state._factors[:i]), start=g) if g else 0.0
         else:

@@ -45,7 +45,7 @@ def test_dense_power_matches_product_spectrum_oracle(monkeypatch, k):
         if n <= 10:
             assert np.abs(state.spectrum(n) - values).max() <= 1e-14, n
     # levels with few distinct products decline the histogram; the mass comes from
-    # the blocks' sorted eigenvalue products there (for k = 3 up to depth 12)
+    # the level's product eigensystem there (for k = 3 up to depth 12)
     assert declined and (k < 3 or 12 in declined), declined
     assert max(dims) <= 1 << k, dict(dims)
 
