@@ -35,7 +35,7 @@ from .linalg import (
     qubit_count,
     shannon_entropy,
 )
-from .states import TOP_K_ERROR, DensitySpec, StateSequence, _check_scan
+from .states import DensitySpec, StateSequence, _check_scan
 
 #: float dust absorbed when deciding whether one more pad step still fits
 MASS_SLACK = 1e-12
@@ -290,9 +290,9 @@ def ui_profile(fam: StepFamily, deltas, depth: int) -> UIProfile:
     level n lifts to P (x) I, of rank 2k, one level up: by Ky Fan the sup
     over n is the value at n = depth, one query per order.  At any depth a
     sup read from closed-form masses must clear every delta it decides by
-    more than `TOP_K_ERROR`, their error, or DimensionCapError is raised:
-    no modulus is returned uncertified.  Spectra and histograms decide
-    ties as they fall.
+    more than their error, the state's `top_k_error`, or DimensionCapError
+    is raised: no modulus is returned uncertified.  Spectra and histograms
+    decide ties as they fall.
     """
     deltas = [float(d) for d in deltas]
     _finite(np.asarray(deltas), "delta")
@@ -306,7 +306,7 @@ def ui_profile(fam: StepFamily, deltas, depth: int) -> UIProfile:
         missing = range(fam.depth + 1, depth + 1)
         shown = list(missing) if len(missing) <= 8 else f"[{missing[0]}, ..., {missing[-1]}]"
         raise ValueError(f"step family lacks depths {shown}")
-    slack = TOP_K_ERROR if fam.state._top_k is not None else 0.0
+    slack = fam.state.top_k_error
     moduli: dict[float, int] = {}
     for m in range(1, depth + 1):
         open_deltas = [d for d in deltas if d not in moduli]

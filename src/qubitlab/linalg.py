@@ -110,9 +110,10 @@ class DensityOperator:
 
     @classmethod
     def diagonal(cls, probs: np.ndarray) -> "DensityOperator":
-        p = np.asarray(probs, dtype=float)
+        p = np.asarray(probs)
         if p.ndim != 1:
             raise BadDimensionError("diagonal form takes a 1-D probability vector")
+        p = p.astype(float, copy=False)
         n = qubit_count(p.size)
         if n > DIAG_QUBIT_CAP:
             raise DimensionCapError(f"{n} qubits exceeds diagonal cap {DIAG_QUBIT_CAP}")

@@ -8,17 +8,15 @@ while a cheap projection sequence still pins it, tensor powers of a fixed
 operator, and diagonal sequences induced by a probability density on the
 unit interval.
 
-Sequences whose levels are tensor products of small blocks also carry
-that factorisation, which lets entropy and coherence reach depths far
-beyond anything a materialised 2^n vector could.  The spectrum of such a
-level is a product of the blocks' spectra (a dense block's is decomposed
-once), so by the method of types it is an exact histogram of distinct
-values with integer multiplicities, usually far shorter than 2^n.
+Each state asks one level source for its levels (a generator, product
+blocks or a closed form); product blocks answer entropy and coherence at
+depths far beyond anything a materialised 2^n vector could.
 """
 
 from __future__ import annotations
 
 import bisect
+import collections
 import functools
 import itertools
 import math
@@ -124,31 +122,181 @@ def _level_histogram(n: int, parts: list[tuple[_FactorSummary, int]]) -> Spectru
     return SpectrumHistogram(n, tuple(v for v, _ in items), tuple(c for _, c in items))
 
 
+class _Source:
+    """Levels from a ``generator``, deterministic and total on 1..max_depth (up to caps).
+
+    Each query takes the state it answers for and reads its memoised
+    levels and spectra; no form holds a level past `DIAG_QUBIT_CAP` qubits.
+    """
+
+    has_factors = has_diag_factors = False
+    #: deepest level that an entropy scan, or a top-k scan, can read (see `_check_scan`)
+    entropy_cap = top_k_cap = DIAG_QUBIT_CAP
+    #: absolute error bound on a top-k mass
+    top_k_error = 0.0
+
+    def __init__(self, generator: Callable[[int], DensityOperator]):
+        self._generator = generator
+
+    def density(self, state: StateSequence, n: int) -> DensityOperator:
+        return self._generator(n)
+
+    def eigensystem(self, state: StateSequence, n: int) -> Spectrum:
+        return eigendecompose(state.density(n))
+
+    def histogram(self, state: StateSequence, n: int) -> SpectrumHistogram | None:
+        return None
+
+    def top_k(self, state: StateSequence, n: int, k: int) -> float:
+        hist = state.histogram(n)
+        return top_k_sum(state.eigensystem(n) if hist is None else hist, k)
+
+    def entropy(self, state: StateSequence, n: int) -> float:
+        return von_neumann_entropy(state.eigensystem(n))
+
+    def deviation(self, state: StateSequence, n: int) -> float:
+        top, below = partial_trace_last(state.density(n)), state.density(n - 1)
+        if top.is_diagonal and below.is_diagonal:
+            return _max_abs(top.probs - below.probs)
+        return _max_abs(top.dense_matrix() - below.dense_matrix())
+
+    def diag_factors(self, state: StateSequence, n: int) -> list[np.ndarray]:
+        raise BadDimensionError(f"{state.name} has no diagonal factored form")
+
+
+class _Blocks(_Source):
+    """One sequence of probability vectors, each on one qubit or more, through qubit ``max_depth``.
+
+    Each distinct block object is validated once and held as a read-only
+    copy, so writes to the caller's arrays reach no level; its traces, and
+    every held array's eigenvalues and entropy, are computed once too.
+    Level n is the prefix: the kron of the blocks that end by qubit n,
+    times the next block traced down to fit, so levels are coherent by
+    construction.  Entropy is a prefix sum at any depth.  A level's
+    spectrum is the product of its blocks', so by the method of types it
+    is an exact histogram, usually far shorter than 2^n, which gives top-k
+    masses until the eigenvalues underflow (2^-n does past 1,074 qubits).
+    """
+
+    has_factors = has_diag_factors = True
+    entropy_cap = top_k_cap = math.inf
+    _trace, _form = staticmethod(_pt_diag), "probs"
+
+    def __init__(self, name: str, max_depth: int, factors: tuple):
+        ids = list(map(id, factors))  # the tuple holds every block, so no id is reused below
+        arrays = self._validate(dict(zip(ids, factors)), max_depth)
+        self._blocks = tuple(map(arrays.__getitem__, ids))
+        # every array in these tables is held, so their ids stay
+        self._traced = {(id(a), c): _readonly(self._trace(a, c))
+                        for a in arrays.values() for c in range(1, qubit_count(len(a)))}
+        self._values = self._eigenvalues([*arrays.values(), *self._traced.values()])
+        self._entropy = {i: _entropy_bits(v) for i, v in self._values.items()}
+        # _head_entropy[i]: the entropies of blocks [:i] summed left to right from 0.0
+        self._head_entropy = np.fromiter(itertools.accumulate(
+            (self._entropy[id(a)] for a in self._blocks), initial=0.0), float, len(ids) + 1)
+        qubits = {i: qubit_count(len(a)) for i, a in arrays.items()}
+        self._ends = list(itertools.accumulate(map(qubits.__getitem__, ids)))
+        if min(qubits.values(), default=0) < 1 or self._ends[-1] < max_depth:
+            raise BadDimensionError(
+                f"{name!r} needs blocks of one qubit or more through qubit {max_depth}")
+
+    def _validate(self, blocks: dict[int, np.ndarray], max_depth: int) -> dict[int, np.ndarray]:
+        return {i: DensityOperator.diagonal(f).probs for i, f in blocks.items()}
+
+    def _eigenvalues(self, held: list[np.ndarray]) -> dict[int, np.ndarray]:
+        return {id(a): a for a in held}
+
+    def _level(self, n: int) -> tuple[int, np.ndarray]:
+        """Level n as (i, last): blocks [:i] end by qubit n, and last is block i traced to fit."""
+        i = bisect.bisect_left(self._ends, n)
+        f, cut = self._blocks[i], self._ends[i] - n
+        return i, self._traced[id(f), cut] if cut else f
+
+    def _parts(self, n: int) -> list[np.ndarray]:
+        """The blocks of level n, the last one traced to fit."""
+        i, last = self._level(n)
+        return [*self._blocks[:i], last]
+
+    def density(self, state: StateSequence, n: int) -> DensityOperator:
+        if n > DIAG_QUBIT_CAP:
+            raise DimensionCapError(f"cannot materialise {n} qubits")
+        # the blocks are validated copies, so their product needs no check
+        out = _readonly(functools.reduce(np.kron, self._parts(n)))
+        return DensityOperator(n, **{self._form: out})
+
+    def histogram(self, state: StateSequence, n: int) -> SpectrumHistogram | None:
+        """Each distinct block's type classes, multiplied, or None (see `_level_histogram`).
+
+        Underflowing values are lost, so a total that misses 1 by more than `TOP_K_ERROR` raises.
+        """
+        copies = collections.Counter(map(id, self._parts(n)))
+        hist = _level_histogram(n, [(_summarise(self._values[a]), c) for a, c in copies.items()])
+        if hist is not None:
+            mass = top_k_sum(hist, 1 << n)
+            if not abs(mass - 1.0) <= TOP_K_ERROR:
+                raise DimensionCapError(
+                    f"level {n} keeps mass {mass!r} in floats: its eigenvalues underflow")
+        return hist
+
+    def entropy(self, state: StateSequence, n: int) -> float:
+        i, last = self._level(n)
+        return float(self._head_entropy[i] + self._entropy[id(last)])
+
+    def deviation(self, state: StateSequence, n: int) -> float:
+        """sup(head) times g, as levels n and n-1 share all blocks but the last."""
+        i, last = self._level(n)
+        # g is |tr(last) - 1| for a one-qubit last block, else sup|tr_1(last) - last'|
+        g = _max_abs(self._trace(last) - (1.0 if len(last) == 2 else self._level(n - 1)[1]))
+        return math.prod(map(_max_abs, self._blocks[:i]), start=g) if g else 0.0
+
+    def diag_factors(self, state: StateSequence, n: int) -> list[np.ndarray]:
+        return self._parts(n)
+
+
+class _DenseBlocks(_Blocks):
+    """Dense density-matrix blocks, refusing a ``max_depth`` past the dense cap.
+
+    Each block and trace is decomposed once, and level n's eigensystem is
+    the stable-sorted kron of its blocks', memoised as long as the state.
+    """
+
+    has_diag_factors = False
+    _trace, _form = staticmethod(_pt_dense), "matrix"
+    diag_factors = _Source.diag_factors
+
+    def _validate(self, blocks: dict[int, np.ndarray], max_depth: int) -> dict[int, np.ndarray]:
+        if max_depth > DENSE_QUBIT_CAP:
+            raise DimensionCapError(f"depth {max_depth} passes the dense cap {DENSE_QUBIT_CAP}")
+        return {i: validate_density(np.array(f, dtype=complex), 1e-8).matrix
+                for i, f in blocks.items()}
+
+    def _eigenvalues(self, held: list[np.ndarray]) -> dict[int, np.ndarray]:
+        self._eigen = {id(a): eigendecompose(DensityOperator(qubit_count(len(a)), a)) for a in held}
+        return {i: s.eigenvalues for i, s in self._eigen.items()}
+
+    def eigensystem(self, state: StateSequence, n: int) -> Spectrum:
+        parts = self._parts(n)
+        w = functools.reduce(np.kron, [self._values[id(a)] for a in parts])
+        v = functools.reduce(np.kron, [self._eigen[id(a)].eigenvectors for a in parts])
+        order = np.argsort(-w, kind="stable")
+        return Spectrum(eigenvalues=_readonly(w[order]), eigenvectors=_readonly(v[:, order]))
+
+
 class StateSequence:
     """Lazy, memoised map from depth n to the n-qubit density operator.
 
-    A state takes exactly one level source, and the source decides how a
-    level is held.  ``generator`` must be deterministic and total on
-    1..max_depth (up to representation caps).  ``factors`` is one sequence
-    of probability vectors, or of dense density matrices, on one qubit or
-    more through qubit ``max_depth``, each distinct block validated once
-    and held as a read-only copy, so writes to the caller's arrays reach
-    no level.  Level n is its prefix: the kron of the blocks that end by
-    qubit n, times the next block traced down to fit, so levels are
-    coherent by construction; level n is materialised as that kron, and
-    dense blocks refuse a ``max_depth`` past the dense cap.  Levels and
-    their spectra are memoised side by side, so each level is decomposed
-    at most once; dense blocks and their traces are decomposed instead,
-    and a level's eigenvectors, their kron, live from its first query as
-    long as the sequence.  A factored level's spectrum is also memoised as
-    a histogram.  Access is thread-safe.
+    Each query asks exactly one level source, which decides how a level is
+    held: a ``generator`` (`_Source`, which passes through as itself), or
+    ``factors``, probability vectors (`_Blocks`) or dense matrices
+    (`_DenseBlocks`).  Levels, spectra and histograms are memoised, so each
+    level is decomposed at most once.  Access is thread-safe.
     """
 
     def __init__(
         self,
         name: str,
         max_depth: int,
-        generator: Callable[[int], DensityOperator] | None = None,
+        generator: Callable[[int], DensityOperator] | _Source | None = None,
         *,
         factors: Sequence[np.ndarray] | None = None,
         spec: dict | None = None,
@@ -162,38 +310,15 @@ class StateSequence:
         if callable(factors):
             raise TypeError(f"factors of {name!r} must be a sequence of blocks, not a callable")
         self.spec = spec
-        self._generator = generator
-        self._factors, self._dense = None, False
         if factors is not None:
-            # each distinct block object (all dense matrices if the first is) is validated, and
-            # its entropy computed, once; the state holds one read-only copy per distinct object
-            factors = tuple(factors)  # holds every block, so no id is reused below
-            ids = list(map(id, factors))
-            self._dense = bool(factors) and np.ndim(factors[0]) == 2
-            arrays = {i: validate_density(np.array(f, dtype=complex), 1e-8).matrix if self._dense
-                      else DensityOperator.diagonal(f).probs for i, f in dict(zip(ids, factors)).items()}
-            if self._dense and self.max_depth > DENSE_QUBIT_CAP:
-                raise DimensionCapError(f"depth {max_depth} passes the dense cap {DENSE_QUBIT_CAP}")
-            self._factors = tuple(map(arrays.__getitem__, ids))
-            # dense blocks' traces by (id, cut), and eigensystems by id; all held, so ids stay
-            self._traced = {(id(a), c): _readonly(_pt_dense(a, c)) for a in arrays.values()
-                            if self._dense for c in range(1, qubit_count(len(a)))}
-            self._eigen = {id(a): eigendecompose(DensityOperator(qubit_count(len(a)), a))
-                           for a in [*arrays.values(), *self._traced.values()] if self._dense}
-            entropy = {i: _entropy_bits(self._values(a)) for i, a in arrays.items()}
-            # _head_entropy[i]: the entropies of blocks [:i] summed left to right from 0.0
-            self._head_entropy = np.fromiter(itertools.accumulate(
-                map(entropy.__getitem__, ids), initial=0.0), float, len(ids) + 1)
-            qubits = {i: qubit_count(len(a)) for i, a in arrays.items()}
-            self._ends = list(itertools.accumulate(map(qubits.__getitem__, ids)))
-            if min(qubits.values(), default=0) < 1 or self._ends[-1] < self.max_depth:
-                raise BadDimensionError(
-                    f"{name!r} needs blocks of one qubit or more through qubit {self.max_depth}")
+            factors = tuple(factors)
+            blocks = _DenseBlocks if factors and np.ndim(factors[0]) == 2 else _Blocks
+            self._source = blocks(name, self.max_depth, factors)
+        else:
+            self._source = generator if isinstance(generator, _Source) else _Source(generator)
         self._cache: dict[int, DensityOperator] = {}
         self._spectra: dict[int, Spectrum] = {}
         self._histograms: dict[int, SpectrumHistogram | None] = {}
-        # (n, k) -> top-k mass without materialising, set by constructors that have one
-        self._top_k: Callable[[int, int], float] | None = None
         self._lock = threading.Lock()
 
     def __repr__(self) -> str:
@@ -214,109 +339,48 @@ class StateSequence:
 
     def density(self, n: int) -> DensityOperator:
         self._check_depth(n)
-        make = self._kron_factors if self._generator is None else self._generator
-        return self._memo(self._cache, n, lambda: make(n))
-
-    def _level(self, n: int) -> tuple[int, np.ndarray]:
-        """Factored level n as (i, last): blocks [:i] end by qubit n, and last is block i traced to fit."""
-        self._check_depth(n)
-        i = bisect.bisect_left(self._ends, n)
-        f, cut = self._factors[i], self._ends[i] - n
-        return i, (self._traced[id(f), cut] if self._dense else _pt_diag(f, cut)) if cut else f
-
-    def _values(self, a: np.ndarray) -> np.ndarray:
-        """A block's eigenvalues: its probabilities, or a dense block's descending spectrum."""
-        return self._eigen[id(a)].eigenvalues if self._dense else a
-
-    def _product(self, n: int, part: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """The kron of part(block) over the blocks of factored level n."""
-        i, last = self._level(n)
-        return functools.reduce(np.kron, map(part, (*self._factors[:i], last)))
-
-    def _kron_factors(self, n: int) -> DensityOperator:
-        if n > DIAG_QUBIT_CAP:
-            raise DimensionCapError(f"cannot materialise {n} qubits")
-        # the blocks are validated copies, so their product needs no check
-        out = _readonly(self._product(n, np.asarray))
-        return DensityOperator(n, matrix=out) if self._dense else DensityOperator(n, probs=out)
+        return self._memo(self._cache, n, lambda: self._source.density(self, n))
 
     @property
     def has_factors(self) -> bool:
-        return self._factors is not None
+        return self._source.has_factors
 
     @property
     def has_diag_factors(self) -> bool:
-        return self._factors is not None and not self._dense
+        return self._source.has_diag_factors
+
+    @property
+    def top_k_error(self) -> float:
+        """Absolute error bound on `top_k_mass`: nonzero only for closed-form masses."""
+        return self._source.top_k_error
 
     def diag_factors(self, n: int) -> list[np.ndarray]:
-        if not self.has_diag_factors:
-            raise BadDimensionError(f"{self.name} has no diagonal factored form")
-        i, last = self._level(n)
-        return [*self._factors[:i], last]
+        self._check_depth(n)
+        return self._source.diag_factors(self, n)
 
     def eigensystem(self, n: int) -> Spectrum:
-        """Memoised spectrum of level n; with dense blocks, the sorted kron of theirs."""
-        make = self._kron_spectrum if self._dense else lambda n: eigendecompose(self.density(n))
-        return self._memo(self._spectra, n, lambda: make(n))
-
-    def _kron_spectrum(self, n: int) -> Spectrum:
-        w = self._product(n, self._values)
-        v = self._product(n, lambda a: self._eigen[id(a)].eigenvectors)
-        order = np.argsort(-w, kind="stable")
-        return Spectrum(eigenvalues=_readonly(w[order]), eigenvectors=_readonly(v[:, order]))
+        """Memoised spectrum of level n."""
+        self._check_depth(n)
+        return self._memo(self._spectra, n, lambda: self._source.eigensystem(self, n))
 
     def spectrum(self, n: int) -> np.ndarray:
         """Descending eigenvalues of level n (materialised or dense-block levels only)."""
         return self.eigensystem(n).eigenvalues
 
     def histogram(self, n: int) -> SpectrumHistogram | None:
-        """Memoised spectrum histogram of factored level n.
-
-        Each distinct factor with c copies contributes its type classes,
-        and the factors' histograms multiply with equal values merged.
-        None for an unfactored state, and for a level whose type classes
-        would cost more than sorting its spectrum (see `_level_histogram`);
-        `top_k_mass` then sorts the level's eigenvalues.  Values that
-        underflow are lost, so a histogram whose multiplicities times values
-        miss 1 by more than `TOP_K_ERROR` raises DimensionCapError rather
-        than give wrong masses.
-        """
+        """Memoised spectrum histogram of level n, or None: `top_k_mass` then sorts eigenvalues."""
         self._check_depth(n)
-        if self._factors is None:
-            return None
-
-        def make() -> SpectrumHistogram | None:
-            # the list holds every factor, so no id is reused inside one call
-            copies: dict[int, list] = {}
-            i, last = self._level(n)
-            for f in [*self._factors[:i], last]:
-                copies.setdefault(id(f), [f, 0])[1] += 1
-            hist = _level_histogram(n, [(_summarise(self._values(f)), c) for f, c in copies.values()])
-            if hist is not None:
-                mass = top_k_sum(hist, 1 << n)
-                if not abs(mass - 1.0) <= TOP_K_ERROR:
-                    raise DimensionCapError(
-                        f"level {n} keeps mass {mass!r} in floats: its eigenvalues underflow")
-            return hist
-
-        return self._memo(self._histograms, n, make)
+        return self._memo(self._histograms, n, lambda: self._source.histogram(self, n))
 
     def top_k_mass(self, n: int, k: int) -> float:
         """Sum of the k largest eigenvalues of level n: closed form, histogram or spectrum."""
-        if self._top_k is not None:
-            self._check_depth(n)
-            return self._top_k(n, k)
-        hist = self.histogram(n)
-        return top_k_sum(self.eigensystem(n) if hist is None else hist, k)
+        self._check_depth(n)
+        return self._source.top_k(self, n, k)
 
     def entropy(self, n: int) -> float:
-        """Entropy in bits of level n: its blocks' entropies summed left to right, when factored."""
-        if self._factors is not None:
-            i, last = self._level(n)
-            if last is self._factors[i]:
-                return float(self._head_entropy[i + 1])
-            return float(self._head_entropy[i] + _entropy_bits(self._values(last)))
-        return von_neumann_entropy(self.eigensystem(n))
+        """Entropy in bits of level n."""
+        self._check_depth(n)
+        return self._source.entropy(self, n)
 
 
 @dataclass(frozen=True)
@@ -365,25 +429,12 @@ class CoherenceReport:
 
 
 def _check_scan(state: StateSequence, depth: int, *, top_k: bool = False) -> None:
-    """Refuse up front a scan of levels 1..depth that would fail part way.
-
-    The scan reads each level's entropy, or with ``top_k`` its top-k
-    masses.  A factored state answers entropy at any depth, and top-k
-    masses until its eigenvalues underflow (2^-n does past 1,074 qubits),
-    where `histogram` refuses the level.  Closed-form masses reach
-    `CLOSED_FORM_QUBIT_CAP`, and anything else materialises its levels,
-    which no form holds past `DIAG_QUBIT_CAP` qubits.
-    """
+    """Refuse up front a scan of levels 1..depth, of entropies or top-k masses, that would fail."""
     if depth < 1:
         raise BadDimensionError(f"depth {depth} is below 1")
     if depth > state.max_depth:
         raise BadDimensionError(f"depth {depth} beyond max_depth {state.max_depth}")
-    if top_k and state._top_k is not None:
-        cap = CLOSED_FORM_QUBIT_CAP
-    elif state.has_factors:
-        return
-    else:
-        cap = DIAG_QUBIT_CAP
+    cap = state._source.top_k_cap if top_k else state._source.entropy_cap
     if depth > cap:
         raise DimensionCapError(f"depth {depth} needs levels past {cap} qubits")
 
@@ -413,28 +464,10 @@ def _max_abs(a: np.ndarray) -> float:
 
 
 def check_coherence(state: StateSequence, depth: int, tol: float = 1e-8) -> CoherenceReport:
-    """Verify that tracing level n reproduces level n-1, for 2 <= n <= depth.
-
-    Factored levels n and n-1 share all blocks but the last, so the
-    deviation is exactly sup(head) times g: |tr(last) - 1| for a one-qubit
-    last block, else sup|tr_1(last) - last'| against level n-1's last one.
-    """
+    """Verify that tracing level n reproduces level n-1, for 2 <= n <= depth (sup-norm)."""
     _check_scan(state, depth)
-    devs = []
-    for n in range(2, depth + 1):
-        if state.has_factors:
-            i, last = state._level(n)
-            traced = _pt_dense(last) if state._dense else _pt_diag(last)
-            g = _max_abs(traced - (1.0 if len(last) == 2 else state._level(n - 1)[1]))
-            dev = math.prod(map(_max_abs, state._factors[:i]), start=g) if g else 0.0
-        else:
-            top, below = partial_trace_last(state.density(n)), state.density(n - 1)
-            if top.is_diagonal and below.is_diagonal:
-                dev = _max_abs(top.probs - below.probs)
-            else:
-                dev = _max_abs(top.dense_matrix() - below.dense_matrix())
-        devs.append((n, dev))
-    return CoherenceReport(name=state.name, tol=tol, deviations=tuple(devs))
+    devs = tuple((n, state._source.deviation(state, n)) for n in range(2, depth + 1))
+    return CoherenceReport(name=state.name, tol=tol, deviations=devs)
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +569,7 @@ def tensor_power_state(
 ) -> StateSequence:
     """Independent copies of a fixed k-qubit operator, traced to every depth.
 
-    The copies are the blocks, so a dense operator is decomposed once (see `StateSequence`).
+    The copies are the blocks, so a dense operator is decomposed once (see `_DenseBlocks`).
     """
     k = d.qubits
     label = name or f"power:{k}q"
@@ -766,6 +799,20 @@ def _log_power_top_k(p: float) -> Callable[[int, int], float]:
     return top_k
 
 
+class _ClosedForm(_Source):
+    """Materialised levels with closed-form top-k masses, (n, k) -> mass, within `TOP_K_ERROR`."""
+
+    top_k_cap = CLOSED_FORM_QUBIT_CAP
+    top_k_error = TOP_K_ERROR
+
+    def __init__(self, generator: Callable, top_k: Callable[[int, int], float]):
+        super().__init__(generator)
+        self._closed_form = top_k
+
+    def top_k(self, state: StateSequence, n: int, k: int) -> float:
+        return self._closed_form(n, k)
+
+
 def log_power_density(p: float) -> DensitySpec:
     """The density (p-1) / (x * (1 - ln x)^p) on (0, 1), for p > 1.
 
@@ -811,10 +858,12 @@ def measure_state(spec: DensitySpec, max_depth: int, *, name: str | None = None)
         raise TypeError("spec must be a DensitySpec")
     replay = None if spec._recipe is None else {
         "kind": "measure", "density": spec._recipe, "n_max": max_depth}
-    state = StateSequence(name or spec.name, max_depth,
-                          lambda n: DensityOperator.diagonal(spec.cylinder_masses(n)), spec=replay)
-    state._top_k = spec._top_k
-    return state
+
+    def level(n: int) -> DensityOperator:
+        return DensityOperator.diagonal(spec.cylinder_masses(n))
+
+    source = _Source(level) if spec._top_k is None else _ClosedForm(level, spec._top_k)
+    return StateSequence(name or spec.name, max_depth, source, spec=replay)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ mpmath oracle in `conftest.py` (depths 30-500,000), Ky Fan monotonicity
 and the closed-form p = 2 moduli; never from the closed form itself.
 """
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -138,15 +139,15 @@ def _oracle_moduli(p, n, deltas):
 def test_deep_profile_reads_one_mass_per_order():
     # Ky Fan: each order's sup over depths is its value at the deepest level
     depth, deltas = 100_000, [0.5, 0.25, 0.1]
-    state = q.measure_state(q.log_power_density(3), depth)
-    queries, closed_form = [], state._top_k
+    spec = q.log_power_density(3)
+    queries, closed_form = [], spec._top_k
 
     def counting(n, k):
         m = n + 1 - k.bit_length()
         queries.append((n, m) if k == 1 << (n - m) else (n, None))  # a UI query is k = 2^(n-m)
         return closed_form(n, k)
 
-    state._top_k = counting
+    state = q.measure_state(dataclasses.replace(spec, _top_k=counting), depth)
     profile = q.ui_profile(q.step_family(state, depth), deltas, depth)
     moduli = [e.modulus for e in profile.entries]
     assert moduli == _oracle_moduli(3, depth, deltas)

@@ -94,8 +94,9 @@ def test_dense_blocks_refuse_diagonal_ones_and_the_diagonal_paths():
     p = np.array([0.25, 0.75])
     with pytest.raises(BadDimensionError, match="square matrix"):
         q.StateSequence("mixed", 3, factors=[a.matrix, p, a.matrix])
-    with pytest.raises(BadDimensionError, match="1-D probability vector"):
-        q.StateSequence("mixed", 3, factors=[p, np.eye(2) / 2, p])
+    for mixed in ([p, np.eye(2) / 2, p], [p, a.matrix, p]):
+        with pytest.raises(BadDimensionError, match="1-D probability vector"):
+            q.StateSequence("mixed", 3, factors=mixed)
     state = q.StateSequence("dense", 3, factors=[a.matrix] * 3)
     assert np.abs(state.density(2).matrix - np.kron(a.matrix, a.matrix)).max() <= 1e-16
     with pytest.raises(BadDimensionError, match="no diagonal factored form"):

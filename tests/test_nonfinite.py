@@ -1,8 +1,12 @@
 """NaN, infinities and out-of-range depths and deltas fail loudly at every public entry point."""
 
+import contextlib
+import io
 import json
 import math
+import os
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,12 +14,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qubitlab as q
+from qubitlab import infotheory, linalg, states
 from qubitlab.cli import EXIT_VALIDATION, main
-from qubitlab.linalg import BadDimensionError, MalformedOperatorError, WrongTraceError
+from qubitlab.linalg import (
+    BadDimensionError,
+    DimensionCapError,
+    MalformedOperatorError,
+    NonHermitianError,
+    WrongTraceError,
+)
 from qubitlab.serialize import (
     dump_json,
     matrix_from_json,
     projection_from_json,
+    projection_test_from_json,
     projection_test_to_json,
 )
 
@@ -194,3 +206,96 @@ def test_cli_profiles_refuse_a_depth_past_the_state(tmp_path, capsys, command):
     )
     assert not out.exists()
     assert capsys.readouterr().err.splitlines() == ["error: depth 100 beyond max_depth 30"]
+
+
+class _Exit(Exception):
+    """A CLI run's exit code and the error it printed, raised so a refusal reads like any other."""
+
+
+def _cli_exit(state: str):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["entropy-profile", "--state", state, "--depth", "4", "--out", os.devnull])
+    raise _Exit(f"exit {code}, {err.getvalue().strip()}")
+
+
+def _diag(qubits: int) -> q.DensityOperator:
+    return q.DensityOperator.diagonal(np.full(1 << qubits, 2.0**-qubits))
+
+
+#: one qubit, basis state |0>
+_ZERO = q.Projection.from_basis(1, [0])
+_SKEWED = q.DensityOperator.diagonal(np.array([0.9, 0.1]))
+
+#: refusals that no other test reaches: (call, error, message fragment)
+REFUSALS = {
+    "cli-unbalanced": (
+        lambda: _cli_exit("builtin:tracial(n=4"), _Exit, "exit 2, error: unbalanced parentheses"),
+    "cli-bare-key": (
+        lambda: _cli_exit("builtin:tracial(n)"), _Exit, "exit 2, error: expected key=value"),
+    "projection-not-square": (
+        lambda: q.Projection.from_matrix(np.ones((2, 4))), BadDimensionError, "must be square"),
+    "projection-not-hermitian": (
+        lambda: q.Projection.from_matrix([[0, 1], [0, 0]]), NonHermitianError, "not Hermitian"),
+    "projection-not-idempotent": (
+        lambda: q.Projection.from_matrix(np.eye(2) / 2), MalformedOperatorError, "not idempotent"),
+    "top-k-projector-k-0": (
+        lambda: q.top_k_projector(q.eigendecompose(_diag(1)), 0),
+        BadDimensionError, "k=0 out of range 1..2"),
+    "projection-weight-qubits": (
+        lambda: q.projection_weight(_diag(2), _ZERO),
+        BadDimensionError, "state on 2 qubits, projection on 1"),
+    "tensor-diagonal-cap": (
+        lambda: linalg.tensor(_diag(13), _diag(12)),
+        DimensionCapError, "25 qubits exceeds diagonal cap"),
+    "dense-matrix-cap": (
+        lambda: _diag(13).dense_matrix(), DimensionCapError, "13 qubits exceeds dense cap 12"),
+    "state-weight-qubits": (
+        lambda: q.state_weight(q.tracial_state(3), 2, _ZERO),
+        BadDimensionError, "projection on 1 qubits, depth 2"),
+    "deficiency-theta": (
+        lambda: q.build_entropy_deficiency_test(q.tracial_state(4), Fraction(3, 2), 0.5, 1, 4),
+        ValueError, "theta must lie strictly between 0 and 1"),
+    "pad-to-multiple-0": (
+        lambda: q.pad_to_multiple(_ZERO, 0), ValueError, "k must be >= 1"),
+    "typical-decay-cap": (
+        lambda: q.typical_subspace_decay(_SKEWED, Fraction(1, 4), 25),
+        DimensionCapError, "2\\^25 entries"),
+    "json-projection-kind": (
+        lambda: projection_from_json({"kind": "nope", "qubits": 1}),
+        ValueError, "unknown projection kind 'nope'"),
+    "json-test-kind": (
+        lambda: projection_test_from_json({"kind": "nope", "terms": []}),
+        ValueError, "unknown test kind 'nope'"),
+    "json-test-type": (
+        lambda: projection_test_to_json(object()), TypeError, "cannot serialise object"),
+    "explicit-level-qubits": (
+        lambda: q.explicit_state("e", [_diag(2)]), BadDimensionError, "level 1 has 2 qubits"),
+    "block-checkpoint-negative": (
+        lambda: q.block_checkpoint(-1), ValueError, "nonnegative"),
+    "density-name": (
+        lambda: states.density_by_name("nope"), ValueError, "unknown density 'nope'"),
+    "rate-of-empty-profile": (
+        lambda: q.entropy_rate_estimate(q.EntropyProfile("x", ()), 1),
+        ValueError, "empty entropy profile"),
+    "flatten-2d": (
+        lambda: infotheory.flatten_distribution(np.full((2, 2), 0.25), Fraction(1, 2)),
+        BadDimensionError, "1-D probability vector"),
+    "flatten-eps": (
+        lambda: infotheory.flatten_distribution([0.5, 0.5], Fraction(3, 2)),
+        ValueError, "eps must lie strictly between 0 and 1"),
+    "two-block-m": (
+        lambda: infotheory.two_block_average([0.5, 0.5], 2), ValueError, "m=2 outside 0..1"),
+    "step-evaluate-x": (
+        lambda: q.step_family(q.tracial_state(2), 2).evaluate(1, 1.0),
+        ValueError, "x must lie in \\[0, 1\\)"),
+    "ui-profile-no-deltas": (
+        lambda: q.ui_profile(q.step_family(q.tracial_state(2), 2), [], 2),
+        ValueError, "empty delta grid"),
+}
+
+
+@pytest.mark.parametrize("call, error, fragment", REFUSALS.values(), ids=REFUSALS)
+def test_bad_input_fails_loudly(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

@@ -1,7 +1,9 @@
+import ast
 import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -449,6 +451,19 @@ def test_state_sequence_depth_bounds():
         t.density(6)
     with pytest.raises(q.linalg.BadDimensionError):
         t.density(0)
+
+
+def test_no_module_but_states_reads_a_state_private():
+    # how a level is held is known only inside `states`: other modules ask public names
+    power = q.tensor_power_state(random_density_oracle(np.random.default_rng(5), 1), 3)
+    explicit = q.explicit_state("e", [q.tracial_state(2).density(1), q.tracial_state(2).density(2)])
+    live = [q.tracial_state(3), power, q.measure_state(q.log_power_density(3), 3), explicit]
+    private = {a for s in live for a in [*vars(s), *dir(type(s))] if a[0] == "_" and a[-2:] != "__"}
+    src = Path(q.__file__).parent
+    reads = [f"{path.name}:{node.lineno} ({node.attr})" for path in sorted(src.glob("*.py"))
+             if path.name != "states.py" for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr in private]
+    assert not reads
 
 
 def test_state_sequence_thread_safe_memoisation():
