@@ -189,10 +189,9 @@ def check_entropy_upper_bound(alpha, m: int) -> UpperBoundCheck:
     the two sides.
     """
     a = _check_descending(alpha)
-    n = qubit_count(a.size)
-    k = 1 << (n - m)
-    lead = float(a[:k].sum())
     averaged = two_block_average(a, m)
+    n = qubit_count(a.size)
+    lead = float(a[: 1 << (n - m)].sum())
     return UpperBoundCheck(
         entropy=shannon_entropy(a),
         bound=1.0 - m * lead + n,

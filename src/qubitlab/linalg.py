@@ -10,6 +10,7 @@ allowed up to 24 qubits.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -187,16 +188,14 @@ class SpectrumHistogram:
 
 @dataclass(frozen=True)
 class Projection:
-    """Hermitian projection in dense, basis-subset, or factored-subset form.
+    """Hermitian projection in dense or product form.
 
-    The factored form is a tensor product of basis subsets, stored as
-    ``(qubits_i, indices_i)`` pairs; it represents projections whose full
-    index set would be astronomically large.
+    The product form is a tensor product of basis subsets, stored as
+    ``(qubits_i, indices_i)`` pairs; a basis subset is its one-block case.
     """
 
     qubits: int
     matrix: np.ndarray | None = None
-    basis_indices: np.ndarray | None = None
     factors: tuple[tuple[int, np.ndarray], ...] | None = None
 
     @classmethod
@@ -218,47 +217,52 @@ class Projection:
     @classmethod
     def from_basis(cls, qubits: int, indices) -> "Projection":
         idx = _index_set(indices, qubits, "basis index")
-        return cls(qubits=qubits, basis_indices=_readonly(idx))
+        return cls(qubits=qubits, factors=((qubits, _readonly(idx)),))
 
     @classmethod
     def from_factors(cls, factors) -> "Projection":
         fs = []
-        total = 0
         for q, idx in factors:
+            if q < 1:
+                raise BadDimensionError(f"a product block needs a qubit or more, got {q}")
             arr = _index_set(idx, q, "factor index")
             if arr.size == 0:
                 raise BadDimensionError("factor index out of range")
             fs.append((int(q), _readonly(arr)))
-            total += int(q)
-        return cls(qubits=total, factors=tuple(fs))
+        return cls(qubits=sum(q for q, _ in fs), factors=tuple(fs))
 
     @classmethod
     def identity(cls, qubits: int) -> "Projection":
         return cls.from_basis(qubits, np.arange(1 << qubits))
 
     @property
+    def basis_indices(self) -> np.ndarray | None:
+        """The index set of a one-block product, else None."""
+        if self.factors is not None and len(self.factors) == 1:
+            return self.factors[0][1]
+        return None
+
+    @property
     def rank(self) -> int:
         if self.matrix is not None:
             return int(round(self.matrix.trace().real))
-        if self.basis_indices is not None:
-            return int(self.basis_indices.size)
-        r = 1
-        for _, idx in self.factors:
-            r *= int(idx.size)
-        return r
+        return math.prod(int(idx.size) for _, idx in self.factors)
 
     def expand_indices(self) -> np.ndarray:
-        """Materialise the basis-index set (diagonal forms only)."""
-        if self.basis_indices is not None:
-            return self.basis_indices
+        """Materialise the basis-index set (product form only)."""
         if self.factors is None:
             raise MalformedOperatorError("dense projection has no basis-index form")
-        if self.qubits > DIAG_QUBIT_CAP:
+        if len(self.factors) > 1 and self.qubits > DIAG_QUBIT_CAP:
             raise DimensionCapError("factored projection too large to expand")
-        idx = np.zeros(1, dtype=np.int64)
-        for q, sub in self.factors:
-            idx = (idx[:, None] << q | sub[None, :]).reshape(-1)
-        return np.sort(idx)
+        return _joined_indices(self.factors)
+
+
+def _joined_indices(factors) -> np.ndarray:
+    """Ascending index set of a product of basis subsets, later blocks on lower bits."""
+    (_, idx), *rest = factors
+    for q, sub in rest:
+        idx = (idx[:, None] << q | sub).reshape(-1)
+    return idx
 
 
 def tensor(a, b):
@@ -412,15 +416,34 @@ def projection_weight(d: DensityOperator, g: Projection) -> float:
     """Tr(d G), the weight the state places on the projection's range."""
     if d.qubits != g.qubits:
         raise BadDimensionError(f"state on {d.qubits} qubits, projection on {g.qubits}")
-    if g.basis_indices is not None:
-        return float(d.diagonal_part()[g.basis_indices].sum())
     if g.factors is not None:
-        dims = [1 << q for q, _ in g.factors]
-        sub = d.diagonal_part().reshape(dims)[np.ix_(*[idx for _, idx in g.factors])]
-        return float(sub.sum())
+        return _product_weight([d.diagonal_part()], g.factors)
     if d.is_diagonal:
         return float(np.real(np.dot(d.probs, g.matrix.diagonal())))
     return float(np.einsum("ij,ji->", d.matrix, g.matrix).real)
+
+
+def _product_weight(blocks: list[np.ndarray], factors) -> float:
+    """Tr(rho G) for rho the kron of diagonal ``blocks`` and G a product projection.
+
+    Both sides are cut at their common qubit boundaries; a group wider than
+    `DIAG_QUBIT_CAP` raises, else its kron-merged blocks are summed on its joined indices.
+    """
+    weight = 1.0
+    i = j = 0
+    while i < len(blocks) and j < len(factors):
+        i1, j1, a, q = i + 1, j + 1, qubit_count(blocks[i].size), factors[j][0]
+        while a != q:  # extend the narrower side until both end on one qubit
+            if a < q:
+                a, i1 = a + qubit_count(blocks[i1].size), i1 + 1
+            else:
+                q, j1 = q + factors[j1][0], j1 + 1
+        if a > DIAG_QUBIT_CAP:
+            raise DimensionCapError(f"a {a}-qubit block exceeds diagonal cap {DIAG_QUBIT_CAP}")
+        buf = functools.reduce(np.kron, blocks[i:i1])
+        weight *= float(buf[_joined_indices(factors[j:j1])].sum())
+        i, j = i1, j1
+    return weight
 
 
 def tau_weight(g: Projection) -> float:

@@ -24,6 +24,7 @@ import numpy as np
 
 from .dyadic import as_fraction, rank_ceil, rank_floor
 from .linalg import (
+    DENSE_QUBIT_CAP,
     DIAG_QUBIT_CAP,
     BadDimensionError,
     DensityOperator,
@@ -32,10 +33,10 @@ from .linalg import (
     eigendecompose,
     projection_weight,
     tau_weight,
-    tensor,
     top_k_projector,
     von_neumann_entropy,
     _finite,
+    _product_weight,
 )
 from .states import StateSequence, block_checkpoint
 
@@ -202,44 +203,12 @@ class DecayCurve:
 # evaluation
 
 
-def _grouped_factor_weight(
-    state_factors: list[np.ndarray], proj_factors: tuple[tuple[int, np.ndarray], ...]
-) -> float:
-    """Product of per-block weights after regrouping state factors.
-
-    State factors may be finer than the projection's blocks; they are
-    kron-merged until the qubit boundaries line up.  Both cover the same
-    n qubits, so only a state factor that straddles a block boundary can
-    misalign them: that raises, as does a block wider than
-    `DIAG_QUBIT_CAP` qubits, before any merge.
-    """
-    it = iter(state_factors)
-    weight = 1.0
-    for q, idx in proj_factors:
-        if q > DIAG_QUBIT_CAP:
-            raise DimensionCapError(f"a {q}-qubit block exceeds diagonal cap {DIAG_QUBIT_CAP}")
-        buf: np.ndarray | None = None
-        bufq = 0
-        while bufq < q:
-            v = next(it)
-            bufq += int(v.size).bit_length() - 1
-            if bufq > q:
-                raise BadDimensionError("factor boundaries do not align")
-            buf = v if buf is None else np.kron(buf, v)
-        weight *= float(buf[idx].sum())
-    return weight
-
-
 def state_weight(state: StateSequence, n: int, g: Projection) -> float:
     """Tr(rho_n G): by diagonal blocks when state and projection have them, else materialised."""
     if g.qubits != n:
         raise BadDimensionError(f"projection on {g.qubits} qubits, depth {n}")
     if state.has_diag_factors and g.matrix is None:
-        proj_factors = g.factors if g.factors is not None else ((n, g.basis_indices),)
-        try:
-            return _grouped_factor_weight(state.diag_factors(n), proj_factors)
-        except BadDimensionError:
-            pass  # misaligned factors: fall through to materialisation
+        return _product_weight(state.diag_factors(n), g.factors)
     return projection_weight(state.density(n), g)
 
 
@@ -497,12 +466,11 @@ def pad_to_multiple(g: Projection, k: int) -> Projection:
     pad = (-g.qubits) % k
     if pad == 0:
         return g
-    if g.basis_indices is not None:
-        return Projection.from_factors(((g.qubits, g.basis_indices), (pad, np.arange(1 << pad))))
     if g.factors is not None:
-        return Projection.from_factors(tuple(g.factors) + ((pad, np.arange(1 << pad)),))
-    ident = np.eye(1 << pad, dtype=complex)
-    return Projection(qubits=g.qubits + pad, matrix=tensor(g.matrix, ident))
+        return Projection.from_factors(g.factors + ((1, np.arange(2)),) * pad)
+    if g.qubits + pad > DENSE_QUBIT_CAP:
+        raise DimensionCapError(f"{g.qubits + pad} qubits exceeds dense cap {DENSE_QUBIT_CAP}")
+    return Projection(qubits=g.qubits + pad, matrix=np.kron(g.matrix, np.eye(1 << pad)))
 
 
 def typical_subspace_decay(d: DensityOperator, rate, depth: int) -> DecayCurve:
@@ -513,6 +481,8 @@ def typical_subspace_decay(d: DensityOperator, rate, depth: int) -> DecayCurve:
     that rank profile.  Requires r < H(d); otherwise no decay is promised
     and the call is refused.
     """
+    if depth < 1:
+        raise BadDimensionError(f"depth {depth} is below 1")
     rate = as_fraction(rate)
     spec = eigendecompose(d)
     h = von_neumann_entropy(spec)

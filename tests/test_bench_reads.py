@@ -1,0 +1,52 @@
+"""The benchmark's reference oracles read projections the way the library builds them.
+
+`perfbench/oracles.py` checks builder outputs from a projector's own data:
+its rank from the index set (`basis_indices`), the product blocks
+(`factors`) or the matrix trace, and a level's weight from its diagonal or
+matrix.  These tests import that module unchanged, as `test_cli_digests.py`
+does, and hold its reads to `Projection.rank` and `projection_weight`.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import qubitlab as q
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def oracles(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import oracles
+
+    return oracles
+
+
+def _dense_factor(rng) -> q.DensityOperator:
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    m = a @ a.conj().T
+    return q.DensityOperator.dense(m / np.trace(m).real)
+
+
+def test_oracles_read_every_projection_form(oracles, rng):
+    pure = q.pure_bitstring_state(q.prng_bits(10, 3), 10)
+    deficiency = q.build_entropy_deficiency_test(pure, "1/2", "1/2", 3, 10).test.seq.terms
+    power = q.tensor_power_state(_dense_factor(rng), 6)
+    ui = q.build_ui_test(power, "1/2", 3, 6).test.seq.terms
+    assert deficiency and ui
+    assert all(t.projector.basis_indices is not None for t in deficiency)
+    assert all(t.projector.matrix is not None for t in ui)
+    for state, t in [*((pure, t) for t in deficiency), *((power, t) for t in ui)]:
+        g, level = t.projector, state.density(t.qubits)
+        assert oracles.projector_rank(g) == g.rank
+        want = q.projection_weight(level, g)
+        assert oracles.dense_weight(level.dense_matrix(), g) == pytest.approx(want, abs=1e-12)
+    for m in range(1, 5):
+        g = q.block_state_test(m).projector
+        assert (g.basis_indices is not None) == (m == 1)  # one block only at m = 1
+        assert oracles.projector_rank(g) == g.rank == 1 << (q.block_checkpoint(m) - m)

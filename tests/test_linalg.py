@@ -247,8 +247,21 @@ def test_factored_projection_expansion_matches_weight(rng):
     g = q.Projection.from_factors([(2, [0, 3]), (3, [1, 2, 5])])
     direct = q.projection_weight(d, g)
     expanded = q.Projection.from_basis(5, g.expand_indices())
-    assert direct == pytest.approx(q.projection_weight(d, expanded), abs=1e-14)
+    assert direct == q.projection_weight(d, expanded)
     assert g.rank == expanded.rank == 6
+    for _ in range(50):
+        n = int(rng.integers(2, 11))
+        cuts = np.diff([0, *sorted(rng.choice(np.arange(1, n), size=int(rng.integers(1, n)),
+                                                replace=False)), n])
+        blocks = [np.sort(rng.choice(1 << c, size=int(rng.integers(1, (1 << c) + 1)),
+                                     replace=False)) for c in cuts]
+        g = q.Projection.from_factors(list(zip(cuts.tolist(), blocks)))
+        diag = rng.dirichlet(np.ones(1 << n))
+        # oracle: the projection's entries of the level, summed as a sub-array
+        want = float(diag.reshape([1 << c for c in cuts])[np.ix_(*blocks)].sum())
+        assert q.projection_weight(q.DensityOperator.diagonal(diag), g) == want
+        assert q.projection_weight(
+            q.DensityOperator.diagonal(diag), q.Projection.from_basis(n, g.expand_indices())) == want
 
 
 # --- validation ----------------------------------------------------------------

@@ -256,11 +256,26 @@ REFUSALS = {
     "deficiency-theta": (
         lambda: q.build_entropy_deficiency_test(q.tracial_state(4), Fraction(3, 2), 0.5, 1, 4),
         ValueError, "theta must lie strictly between 0 and 1"),
+    "product-block-0-qubits": (
+        lambda: q.Projection.from_factors([(2, [0]), (0, [0])]),
+        BadDimensionError, "a product block needs a qubit or more, got 0"),
+    "product-block-negative-qubits": (
+        lambda: q.Projection.from_factors([(-1, [0])]),
+        BadDimensionError, "a product block needs a qubit or more, got -1"),
     "pad-to-multiple-0": (
         lambda: q.pad_to_multiple(_ZERO, 0), ValueError, "k must be >= 1"),
+    "pad-dense-cap": (
+        lambda: q.pad_to_multiple(q.Projection.from_matrix(np.diag([1.0, 0.0])), 31),
+        DimensionCapError, "31 qubits exceeds dense cap 12"),
     "typical-decay-cap": (
         lambda: q.typical_subspace_decay(_SKEWED, Fraction(1, 4), 25),
         DimensionCapError, "2\\^25 entries"),
+    "typical-decay-depth-0": (
+        lambda: q.typical_subspace_decay(_SKEWED, Fraction(1, 4), 0),
+        BadDimensionError, "depth 0 is below 1"),
+    "typical-decay-depth-negative": (
+        lambda: q.typical_subspace_decay(_SKEWED, Fraction(1, 4), -3),
+        BadDimensionError, "depth -3 is below 1"),
     "json-projection-kind": (
         lambda: projection_from_json({"kind": "nope", "qubits": 1}),
         ValueError, "unknown projection kind 'nope'"),
@@ -286,6 +301,9 @@ REFUSALS = {
         ValueError, "eps must lie strictly between 0 and 1"),
     "two-block-m": (
         lambda: infotheory.two_block_average([0.5, 0.5], 2), ValueError, "m=2 outside 0..1"),
+    "entropy-bound-m": (
+        lambda: infotheory.check_entropy_upper_bound([0.5, 0.5], 2),
+        ValueError, "m=2 outside 0..1"),
     "step-evaluate-x": (
         lambda: q.step_family(q.tracial_state(2), 2).evaluate(1, 1.0),
         ValueError, "x must lie in \\[0, 1\\)"),

@@ -171,14 +171,27 @@ def test_state_weight_refuses_a_block_past_the_diagonal_cap_at_once():
     assert not shallow._cache
 
 
-def test_state_weight_materialises_when_factors_do_not_align():
+def test_state_weight_answers_by_blocks_when_factors_do_not_align():
     # a 1+3-qubit projection cuts the first 2-qubit factor of the power in two
     p = np.array([0.4, 0.3, 0.2, 0.1])
     state = q.tensor_power_state(q.DensityOperator.diagonal(p), 4)
     g = q.Projection.from_factors([(1, [1]), (3, [0, 2, 5, 7])])
     want = np.kron(p, p)[8 + np.array([0, 2, 5, 7])].sum()  # index 8a + b, a = 1
     assert q.state_weight(state, 4, g) == pytest.approx(want, abs=1e-15)
-    assert set(state._cache) == {4}  # the fallback materialised level 4
+    assert not state._cache  # no level was materialised
+
+
+def test_state_weight_answers_a_deep_misaligned_pair_by_blocks():
+    # 2-qubit state factors and 3-qubit projection blocks meet every 6 qubits: ten groups
+    p = [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)]
+    state = q.tensor_power_state(q.DensityOperator.diagonal(np.array([float(x) for x in p])), 60)
+    block = (0, 3, 5, 6)
+    g = q.Projection.from_factors([(3, block)] * 20)
+    # one group's exact weight: the 6-qubit index a b reads as three 2-qubit factor indices
+    joined = [a << 3 | b for a in block for b in block]
+    group = sum(p[x >> 4] * p[x >> 2 & 3] * p[x & 3] for x in joined)
+    assert q.state_weight(state, 60, g) == float(group**10)
+    assert not state._cache
 
 
 # --- deficiency builder ---------------------------------------------------------------
@@ -461,9 +474,14 @@ def test_pad_to_multiple_preserves_tau():
     padded = q.pad_to_multiple(g, 2)
     assert padded.qubits == 2
     assert q.tau_weight(padded) == q.tau_weight(g) == 0.5
-    # already-factored projections grow one more identity factor
+    # a product grows one one-qubit identity block per padded qubit
     refactored = q.pad_to_multiple(q.Projection.from_factors([(1, [0])]), 3)
     assert refactored.qubits == 3 and q.tau_weight(refactored) == 0.5
+    assert [qubits for qubits, _ in refactored.factors] == [1, 1, 1]
+    start = time.perf_counter()
+    wide = q.pad_to_multiple(g, 64)  # no 2^63-entry index set
+    assert time.perf_counter() - start < 1.0
+    assert wide.qubits == 64 and q.tau_weight(wide) == 0.5
 
 
 def test_pad_to_multiple_preserves_weights(fixture_states):
