@@ -56,7 +56,6 @@ from .serialize import (
     write_csv,
 )
 from .states import (
-    block_checkpoint,
     block_state,
     check_coherence,
     entropy_profile,
@@ -271,8 +270,7 @@ def _reproduce_block(outdir: Path, seed: int):
         list(profile.entries),
         experiment={"reproduce": "block", "seed": seed},
     )
-    checkpoints = [block_checkpoint(m) for m in range(1, 9)]
-    ratios = [profile.entries[n - 1][2] for n in checkpoints]
+    ratios = [profile.entries[t.qubits - 1][2] for t in test.seq.terms]
     checks = [
         ("tau_exact", all(tau == 2.0**-t.m for tau, t in zip(taus, test.seq.terms)), str(taus)),
         ("weight_one", all(abs(w - 1.0) <= 1e-10 for w in report.weights), str(report.weights)),

@@ -172,7 +172,6 @@ class UpperBoundCheck:
 
     entropy: float
     bound: float
-    lead_mass: float
     averaged_entropy: float
 
     def satisfied(self) -> bool:
@@ -195,7 +194,6 @@ def check_entropy_upper_bound(alpha, m: int) -> UpperBoundCheck:
     return UpperBoundCheck(
         entropy=shannon_entropy(a),
         bound=1.0 - m * lead + n,
-        lead_mass=lead,
         averaged_entropy=shannon_entropy(averaged),
     )
 

@@ -248,13 +248,16 @@ class Projection:
             return int(round(self.matrix.trace().real))
         return math.prod(int(idx.size) for _, idx in self.factors)
 
-    def expand_indices(self) -> np.ndarray:
-        """Materialise the basis-index set (product form only)."""
-        if self.factors is None:
-            raise MalformedOperatorError("dense projection has no basis-index form")
-        if len(self.factors) > 1 and self.qubits > DIAG_QUBIT_CAP:
-            raise DimensionCapError("factored projection too large to expand")
-        return _joined_indices(self.factors)
+    def __eq__(self, other) -> bool:
+        """Equal matrices, or equal index sets in one block layout: the block (2, [0, 1])
+        is not the product (1, [0]), (1, [0, 1]), though both span one subspace."""
+        if not isinstance(other, Projection):
+            return NotImplemented
+        if self.matrix is not None or other.matrix is not None:
+            return self.qubits == other.qubits and np.array_equal(self.matrix, other.matrix)
+        return len(self.factors) == len(other.factors) and all(
+            q == r and np.array_equal(a, b) for (q, a), (r, b) in zip(self.factors, other.factors)
+        )
 
 
 def _joined_indices(factors) -> np.ndarray:

@@ -38,7 +38,7 @@ from .linalg import (
     _finite,
     _product_weight,
 )
-from .states import StateSequence, block_checkpoint
+from .states import StateSequence, block_checkpoint, block_state
 
 
 class CertificateError(AssertionError):
@@ -47,11 +47,14 @@ class CertificateError(AssertionError):
 
 @dataclass(frozen=True)
 class TestTerm:
-    """Order m, the register size it lives on, and the projection itself."""
+    """Order m and its projection; the register it lives on is the projection's."""
 
     m: int
-    qubits: int
     projector: Projection
+
+    @property
+    def qubits(self) -> int:
+        return self.projector.qubits
 
 
 @dataclass(frozen=True)
@@ -64,9 +67,6 @@ class ProjectionSequence:
         ms = [t.m for t in self.terms]
         if ms != sorted(set(ms)):
             raise ValueError("term orders must be strictly increasing")
-        for t in self.terms:
-            if t.projector.qubits != t.qubits:
-                raise BadDimensionError(f"term m={t.m} qubit count mismatch")
 
     @property
     def m_max(self) -> int:
@@ -142,7 +142,6 @@ class FailureReport:
 @dataclass(frozen=True)
 class ValidationReport:
     status: str  # "valid" | "invalid" | "unverified"
-    checked_depth: int
     violations: tuple[tuple[int, float, float], ...] = ()  # (m, value, bound)
 
     @property
@@ -249,7 +248,7 @@ def validate_qstest(test: QSTest, depth: int) -> ValidationReport:
             if (t.projector.rank << t.m) > (1 << t.qubits):
                 violations.append((t.m, tau_weight(t.projector), 2.0**-t.m))
         status = "valid" if not violations else "invalid"
-        return ValidationReport(status=status, checked_depth=depth, violations=tuple(violations))
+        return ValidationReport(status=status, violations=tuple(violations))
     if test.budget == "explicit":
         sums = test.partial_sums or ()
         violations = []
@@ -264,8 +263,8 @@ def validate_qstest(test: QSTest, depth: int) -> ValidationReport:
                 if abs(inc - tau_weight(t.projector)) > 1e-9:
                     violations.append((t.m, inc, tau_weight(t.projector)))
         status = "valid" if not violations else "invalid"
-        return ValidationReport(status=status, checked_depth=depth, violations=tuple(violations))
-    return ValidationReport(status="unverified", checked_depth=depth)
+        return ValidationReport(status=status, violations=tuple(violations))
+    return ValidationReport(status="unverified")
 
 
 def null_condition_trend(cond: NullCondition, depth: int) -> TrendReport:
@@ -331,7 +330,7 @@ def _scan(
         proj = top_k_projector(state.eigensystem(n), k)
         if not certified(m, n, proj.rank):
             raise CertificateError(f"order {m}: {what} at depth {n}")
-        built.append(TestTerm(m=m, qubits=n, projector=proj))
+        built.append(TestTerm(m=m, projector=proj))
     test = QSTest(seq=ProjectionSequence(terms=tuple(built)), budget="geometric")
     return BuildOutcome(
         test=test, exhausted=tuple(exhausted), requested_terms=terms, depth_cap=depth_cap
@@ -433,19 +432,18 @@ def build_ui_test(
 
 
 def block_state_test(m: int) -> TestTerm:
-    """Order-m term pinning the block sequence: marker qubits forced to 0.
+    """Order-m term pinning the block sequence: the support of its checkpoint level.
 
-    Lives on the m-th checkpoint register; its rank is the product of the
-    uniform block sizes, so its normalised rank is exactly 2^-m while the
-    block sequence's weight on it is exactly 1.
+    Each one-qubit block is read off the block state's own level at the
+    m-th checkpoint: [0] on its m marker qubits and [0, 1] on the rest, so
+    the normalised rank is exactly 2^-m while the block sequence's weight
+    on it is exactly 1, at any order.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if block_checkpoint(m) > 64:
-        raise DimensionCapError("checkpoint register beyond supported size")
-    factors = tuple((i + 1, np.arange(1 << i)) for i in range(1, m + 1))
-    proj = Projection.from_factors(factors)
-    return TestTerm(m=m, qubits=block_checkpoint(m), projector=proj)
+    n = block_checkpoint(m)
+    blocks = ((1, np.flatnonzero(f)) for f in block_state(n).diag_factors(n))
+    return TestTerm(m=m, projector=Projection.from_factors(blocks))
 
 
 def block_test_sequence(terms: int) -> QSTest:

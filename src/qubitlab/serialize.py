@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import Projection, matrix_from_json, matrix_to_json
+from .linalg import BadDimensionError, Projection, matrix_from_json, matrix_to_json
 from .rtests import NullCondition, ProjectionSequence, QSTest, STest, TestTerm
 from .states import StateSequence, explicit_state, state_from_recipe
 
@@ -120,9 +120,11 @@ def _terms_to_json(seq: ProjectionSequence) -> list[dict]:
 
 def _terms_from_json(items) -> ProjectionSequence:
     terms = tuple(
-        TestTerm(m=int(d["m"]), qubits=int(d["n_m"]), projector=projection_from_json(d["projector"]))
-        for d in items
+        TestTerm(m=int(d["m"]), projector=projection_from_json(d["projector"])) for d in items
     )
+    for t, d in zip(terms, items):
+        if int(d["n_m"]) != t.qubits:  # the one place a stated register can disagree
+            raise BadDimensionError(f"term m={t.m} qubit count mismatch")
     return ProjectionSequence(terms=terms)
 
 

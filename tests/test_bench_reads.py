@@ -48,5 +48,5 @@ def test_oracles_read_every_projection_form(oracles, rng):
         assert oracles.dense_weight(level.dense_matrix(), g) == pytest.approx(want, abs=1e-12)
     for m in range(1, 5):
         g = q.block_state_test(m).projector
-        assert (g.basis_indices is not None) == (m == 1)  # one block only at m = 1
+        assert g.basis_indices is None  # no block-test term is a single block
         assert oracles.projector_rank(g) == g.rank == 1 << (q.block_checkpoint(m) - m)

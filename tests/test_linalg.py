@@ -246,7 +246,10 @@ def test_factored_projection_expansion_matches_weight(rng):
     d = q.DensityOperator.diagonal(p)
     g = q.Projection.from_factors([(2, [0, 3]), (3, [1, 2, 5])])
     direct = q.projection_weight(d, g)
-    expanded = q.Projection.from_basis(5, g.expand_indices())
+    # row-major flat positions of the np.ix_ sub-array: the one-block index set
+    mask = np.zeros((4, 8), dtype=bool)
+    mask[np.ix_([0, 3], [1, 2, 5])] = True
+    expanded = q.Projection.from_basis(5, np.flatnonzero(mask))
     assert direct == q.projection_weight(d, expanded)
     assert g.rank == expanded.rank == 6
     for _ in range(50):
@@ -260,8 +263,10 @@ def test_factored_projection_expansion_matches_weight(rng):
         # oracle: the projection's entries of the level, summed as a sub-array
         want = float(diag.reshape([1 << c for c in cuts])[np.ix_(*blocks)].sum())
         assert q.projection_weight(q.DensityOperator.diagonal(diag), g) == want
+        mask = np.zeros([1 << c for c in cuts], dtype=bool)
+        mask[np.ix_(*blocks)] = True
         assert q.projection_weight(
-            q.DensityOperator.diagonal(diag), q.Projection.from_basis(n, g.expand_indices())) == want
+            q.DensityOperator.diagonal(diag), q.Projection.from_basis(n, np.flatnonzero(mask))) == want
 
 
 # --- validation ----------------------------------------------------------------

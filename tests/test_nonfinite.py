@@ -282,6 +282,10 @@ REFUSALS = {
     "json-test-kind": (
         lambda: projection_test_from_json({"kind": "nope", "terms": []}),
         ValueError, "unknown test kind 'nope'"),
+    "json-term-qubits": (
+        lambda: projection_test_from_json({"kind": "qs", "terms": [
+            {"m": 3, "n_m": 3, "projector": {"qubits": 2, "kind": "basis", "indices": [0]}}]}),
+        BadDimensionError, "term m=3 qubit count mismatch"),
     "json-test-type": (
         lambda: projection_test_to_json(object()), TypeError, "cannot serialise object"),
     "explicit-level-qubits": (

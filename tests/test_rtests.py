@@ -40,10 +40,32 @@ def test_block_state_test_order_bounds():
     with pytest.raises(ValueError, match="m must be >= 1"):
         q.block_state_test(0)
     assert q.block_checkpoint(9) == 54 and q.block_state_test(9).qubits == 54
-    # order 10's checkpoint register has 65 qubits, past the 64 supported
+    # order 10's checkpoint register has 65 qubits; the term builds with no cap
     assert q.block_checkpoint(10) == 65
-    with pytest.raises(DimensionCapError, match="checkpoint register"):
-        q.block_state_test(10)
+    term = q.block_state_test(10)
+    assert term.qubits == 65 and term.projector.rank == 1 << 55
+
+
+def test_block_state_test_is_the_checkpoint_support_at_deep_orders():
+    # marker positions from the closed form c(i) = i + i(i + 1)/2, not from the state
+    def c(i):
+        return i + i * (i + 1) // 2
+
+    seq = q.block_test_sequence(30)
+    deep = (q.block_state_test(100), q.block_state_test(445))
+    for term in (*seq.seq.terms, *deep):
+        m, n, g = term.m, c(term.m), term.projector
+        marks = {c(i) for i in range(m)}
+        assert term.qubits == n and [qb for qb, _ in g.factors] == [1] * n
+        assert [idx.tolist() for _, idx in g.factors] == [
+            [0] if j in marks else [0, 1] for j in range(n)]
+        assert g.rank == 1 << (n - m)
+    report = q.evaluate_failure(q.block_state(c(30)), seq, 0.9, 30)
+    assert report.weights == (1.0,) * 30  # exact, no tolerance
+    for term in deep:
+        assert q.state_weight(q.block_state(term.qubits), term.qubits, term.projector) == 1.0
+    top = seq.seq.terms[-1]
+    assert q.state_weight(q.tracial_state(495), 495, top.projector) == 2.0**-30
 
 
 def test_projection_sequence_refuses_bad_terms():
@@ -51,9 +73,6 @@ def test_projection_sequence_refuses_bad_terms():
     for terms in ((t1, t1), (t2, t1)):
         with pytest.raises(ValueError, match="strictly increasing"):
             q.ProjectionSequence(terms=terms)
-    mismatch = q.TestTerm(m=3, qubits=3, projector=q.Projection.from_basis(2, [0]))
-    with pytest.raises(BadDimensionError, match="m=3 qubit count mismatch"):
-        q.ProjectionSequence(terms=(t1, mismatch))
 
 
 def test_block_state_full_weight():
@@ -83,7 +102,7 @@ def test_validate_qstest_block_sequence():
 
 def test_validate_qstest_flags_violation():
     # rank-1 projector on 2 qubits has tau 1/4 > 2^-3
-    term = q.TestTerm(m=3, qubits=2, projector=q.Projection.from_basis(2, [0]))
+    term = q.TestTerm(m=3, projector=q.Projection.from_basis(2, [0]))
     test = q.QSTest(seq=q.ProjectionSequence(terms=(term,)), budget="geometric")
     report = q.validate_qstest(test, 3)
     assert not report.valid
@@ -142,7 +161,7 @@ def test_evaluate_failure_pure_prefix_projectors():
     bits = "0110100110"
     z = q.pure_bitstring_state(bits, 10)
     terms = tuple(
-        q.TestTerm(m=m, qubits=m + 2, projector=q.Projection.from_basis(m + 2, [int(bits[: m + 2], 2)]))
+        q.TestTerm(m=m, projector=q.Projection.from_basis(m + 2, [int(bits[: m + 2], 2)]))
         for m in range(1, 6)
     )
     test = q.QSTest(seq=q.ProjectionSequence(terms=terms), budget="geometric")
@@ -384,7 +403,7 @@ def test_null_condition_trend_geometric_vs_constant():
     geo = q.block_test_sequence(8).as_null_condition()
     assert q.null_condition_trend(geo, 8).halved
     const_terms = tuple(
-        q.TestTerm(m=m, qubits=2, projector=q.Projection.from_basis(2, [0, 1]))
+        q.TestTerm(m=m, projector=q.Projection.from_basis(2, [0, 1]))
         for m in range(1, 7)
     )
     flat = q.NullCondition(seq=q.ProjectionSequence(terms=const_terms))

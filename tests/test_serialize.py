@@ -166,14 +166,19 @@ def test_per_level_dump_repr_says_whether_every_level_is_diagonal(rng):
 
 def test_projection_roundtrips(rng):
     basis = q.Projection.from_basis(3, [0, 5])
-    assert projection_from_json(projection_to_json(basis)).rank == 2
+    assert projection_from_json(projection_to_json(basis)) == basis
     product = q.Projection.from_factors([(2, [0, 1]), (2, [3])])
     back = projection_from_json(projection_to_json(product))
-    assert back.rank == 2 and back.qubits == 4
+    assert back == product and back.rank == 2 and back.qubits == 4
     d = random_density_oracle(rng, 2)
     dense = q.top_k_projector(q.eigendecompose(d), 2)
-    back2 = projection_from_json(projection_to_json(dense))
-    assert np.abs(back2.matrix - dense.matrix).max() < 1e-9
+    assert projection_from_json(projection_to_json(dense)) == dense  # JSON floats round-trip exactly
+    # the stored layout is part of the value, and a stored form never equals another form
+    assert basis != product and dense != q.Projection.from_basis(2, [0, 1])
+    assert q.Projection.from_basis(2, [0, 1]) != q.Projection.from_factors([(1, [0]), (1, [0, 1])])
+    # a file that writes a one-block product as "product" loads to its basis form
+    one_block = {"qubits": 3, "kind": "product", "factors": [{"qubits": 3, "indices": [5, 0]}]}
+    assert projection_from_json(one_block) == basis
 
 
 def test_qs_test_roundtrip():
@@ -181,8 +186,25 @@ def test_qs_test_roundtrip():
     back = projection_test_from_json(projection_test_to_json(test))
     assert isinstance(back, q.QSTest)
     assert back.budget == "geometric"
-    assert [t.qubits for t in back.seq.terms] == [t.qubits for t in test.seq.terms]
+    assert back.seq.terms == test.seq.terms
     assert q.validate_qstest(back, 4).valid
+
+
+def test_block_test_file_in_its_earlier_layout_still_weighs_one():
+    # orders 1-4 written as (i+1)-qubit blocks: the marker qubit pinned, i free qubits
+    terms = [
+        {"m": m, "n_m": q.block_checkpoint(m), "projector": {
+            "qubits": q.block_checkpoint(m), "kind": "product",
+            "factors": [{"qubits": i + 1, "indices": list(range(1 << i))} for i in range(1, m + 1)],
+        }}
+        for m in range(1, 5)
+    ]
+    old = projection_test_from_json({"kind": "qs", "terms": terms})
+    now = q.block_test_sequence(4)
+    assert [t.projector.rank for t in old.seq.terms] == [t.projector.rank for t in now.seq.terms]
+    assert old.seq.terms != now.seq.terms  # same subspaces, different stored layouts
+    report = q.evaluate_failure(q.block_state(44), old, 0.9, 4)
+    assert report.weights == (1.0,) * 4
 
 
 def test_s_test_roundtrip():
