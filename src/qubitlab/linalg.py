@@ -221,19 +221,26 @@ class Projection:
 
     @classmethod
     def from_factors(cls, factors) -> "Projection":
+        # each (q, index object) is checked once: (q, id(idx)) -> (idx, block), and holding
+        # idx keeps its id from being reused within this call
+        seen: dict[tuple, tuple] = {}
         fs = []
         for q, idx in factors:
-            if q < 1:
-                raise BadDimensionError(f"a product block needs a qubit or more, got {q}")
-            arr = _index_set(idx, q, "factor index")
-            if arr.size == 0:
-                raise BadDimensionError("factor index out of range")
-            fs.append((int(q), _readonly(arr)))
+            key = q, id(idx)
+            if key not in seen:
+                if q < 1:
+                    raise BadDimensionError(f"a product block needs a qubit or more, got {q}")
+                arr = _index_set(idx, q, "factor index")
+                if arr.size == 0:
+                    raise BadDimensionError("factor index out of range")
+                seen[key] = idx, (int(q), _readonly(arr))
+            fs.append(seen[key][1])
         return cls(qubits=sum(q for q, _ in fs), factors=tuple(fs))
 
     @classmethod
     def identity(cls, qubits: int) -> "Projection":
-        return cls.from_basis(qubits, np.arange(1 << qubits))
+        """The whole register, as one-qubit blocks ``(1, [0, 1])``, at any size."""
+        return cls.from_factors([(1, np.arange(2))] * qubits)
 
     @property
     def basis_indices(self) -> np.ndarray | None:

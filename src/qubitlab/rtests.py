@@ -298,7 +298,7 @@ def _scan(
     eigenprojector of level n, which must pass certified(m, n, rank).
     Every order's mass test runs first, on the state's closed form,
     histogram or memoised spectrum, so a plan that would emit past the
-    materialisation cap is refused before any level is decomposed; an
+    state's `level_cap` is refused before any level is decomposed; an
     emitted level is decomposed once.  Orders with no such depth up to the
     cap are reported as exhausted.
     """
@@ -322,9 +322,9 @@ def _scan(
         else:
             exhausted.append(m)
     for m, n, _ in plan:
-        if n > DIAG_QUBIT_CAP:
+        if n > state.level_cap:
             raise DimensionCapError(
-                f"order {m} would emit from depth {n}, past {DIAG_QUBIT_CAP} qubits")
+                f"order {m} would emit from depth {n}, past {state.level_cap} qubits")
     built: list[TestTerm] = []
     for m, n, k in plan:
         proj = top_k_projector(state.eigensystem(n), k)
@@ -442,8 +442,10 @@ def block_state_test(m: int) -> TestTerm:
     if m < 1:
         raise ValueError("m must be >= 1")
     n = block_checkpoint(m)
-    blocks = ((1, np.flatnonzero(f)) for f in block_state(n).diag_factors(n))
-    return TestTerm(m=m, projector=Projection.from_factors(blocks))
+    parts = block_state(n).diag_factors(n)
+    # one index array per distinct block; `parts` holds every block, so no id is reused
+    support = {i: np.flatnonzero(f) for i, f in {id(f): f for f in parts}.items()}
+    return TestTerm(m=m, projector=Projection.from_factors((1, support[id(f)]) for f in parts))
 
 
 def block_test_sequence(terms: int) -> QSTest:

@@ -103,7 +103,7 @@ def _level_histogram(n: int, parts: list[tuple[_FactorSummary, int]]) -> Spectru
     about five times what sorting one materialised eigenvalue does, so an
     eighth of 2^n keeps the histogram the cheaper path; below 2^9 units
     either path is instant; and the 2^18 ceiling (a fraction of a second)
-    leaves a level past the diagonal cap with costly types to raise
+    leaves a level past its level cap with costly types to raise
     DimensionCapError.
     """
     types = [math.comb(c + len(s.values) - 1, c) for s, c in parts]
@@ -126,12 +126,13 @@ class _Source:
     """Levels from a ``generator``, deterministic and total on 1..max_depth (up to caps).
 
     Each query takes the state it answers for and reads its memoised
-    levels and spectra; no form holds a level past `DIAG_QUBIT_CAP` qubits.
+    levels and spectra; no form holds a level past its ``level_cap`` qubits.
     """
 
     has_factors = has_diag_factors = False
-    #: deepest level that an entropy scan, or a top-k scan, can read (see `_check_scan`)
-    entropy_cap = top_k_cap = DIAG_QUBIT_CAP
+    #: deepest level that an entropy scan, or a top-k scan, can read (see `_check_scan`),
+    #: and (``level_cap``) that a density, eigensystem or emitted test term can reach
+    entropy_cap = top_k_cap = level_cap = DIAG_QUBIT_CAP
     #: absolute error bound on a top-k mass
     top_k_error = 0.0
 
@@ -180,11 +181,11 @@ class _Blocks(_Source):
 
     has_factors = has_diag_factors = True
     entropy_cap = top_k_cap = math.inf
-    _trace, _form = staticmethod(_pt_diag), "probs"
+    _trace, _form, _kind = staticmethod(_pt_diag), "probs", "diagonal"
 
     def __init__(self, name: str, max_depth: int, factors: tuple):
         ids = list(map(id, factors))  # the tuple holds every block, so no id is reused below
-        arrays = self._validate(dict(zip(ids, factors)), max_depth)
+        arrays = self._validate(dict(zip(ids, factors)))
         self._blocks = tuple(map(arrays.__getitem__, ids))
         # every array in these tables is held, so their ids stay
         self._traced = {(id(a), c): _readonly(self._trace(a, c))
@@ -200,7 +201,7 @@ class _Blocks(_Source):
             raise BadDimensionError(
                 f"{name!r} needs blocks of one qubit or more through qubit {max_depth}")
 
-    def _validate(self, blocks: dict[int, np.ndarray], max_depth: int) -> dict[int, np.ndarray]:
+    def _validate(self, blocks: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
         return {i: DensityOperator.diagonal(f).probs for i, f in blocks.items()}
 
     def _eigenvalues(self, held: list[np.ndarray]) -> dict[int, np.ndarray]:
@@ -217,9 +218,13 @@ class _Blocks(_Source):
         i, last = self._level(n)
         return [*self._blocks[:i], last]
 
+    def _refuse_past_cap(self, n: int) -> None:
+        if n > self.level_cap:
+            raise DimensionCapError(
+                f"cannot materialise {n} qubits past the {self._kind} cap {self.level_cap}")
+
     def density(self, state: StateSequence, n: int) -> DensityOperator:
-        if n > DIAG_QUBIT_CAP:
-            raise DimensionCapError(f"cannot materialise {n} qubits")
+        self._refuse_past_cap(n)
         # the blocks are validated copies, so their product needs no check
         out = _readonly(functools.reduce(np.kron, self._parts(n)))
         return DensityOperator(n, **{self._form: out})
@@ -254,19 +259,18 @@ class _Blocks(_Source):
 
 
 class _DenseBlocks(_Blocks):
-    """Dense density-matrix blocks, refusing a ``max_depth`` past the dense cap.
+    """Dense density-matrix blocks, to any depth; only levels held whole stop at the dense cap.
 
     Each block and trace is decomposed once, and level n's eigensystem is
-    the stable-sorted kron of its blocks', memoised as long as the state.
+    the stable-sorted kron of its blocks', memoised as long as the state;
+    it and the density refuse past `DENSE_QUBIT_CAP`, as the blocks answer the rest.
     """
 
-    has_diag_factors = False
-    _trace, _form = staticmethod(_pt_dense), "matrix"
+    has_diag_factors, level_cap = False, DENSE_QUBIT_CAP
+    _trace, _form, _kind = staticmethod(_pt_dense), "matrix", "dense"
     diag_factors = _Source.diag_factors
 
-    def _validate(self, blocks: dict[int, np.ndarray], max_depth: int) -> dict[int, np.ndarray]:
-        if max_depth > DENSE_QUBIT_CAP:
-            raise DimensionCapError(f"depth {max_depth} passes the dense cap {DENSE_QUBIT_CAP}")
+    def _validate(self, blocks: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
         return {i: validate_density(np.array(f, dtype=complex), 1e-8).matrix
                 for i, f in blocks.items()}
 
@@ -275,6 +279,7 @@ class _DenseBlocks(_Blocks):
         return {i: s.eigenvalues for i, s in self._eigen.items()}
 
     def eigensystem(self, state: StateSequence, n: int) -> Spectrum:
+        self._refuse_past_cap(n)
         parts = self._parts(n)
         w = functools.reduce(np.kron, [self._values[id(a)] for a in parts])
         v = functools.reduce(np.kron, [self._eigen[id(a)].eigenvectors for a in parts])
@@ -353,6 +358,11 @@ class StateSequence:
     def top_k_error(self) -> float:
         """Absolute error bound on `top_k_mass`: nonzero only for closed-form masses."""
         return self._source.top_k_error
+
+    @property
+    def level_cap(self) -> int:
+        """Deepest level that `density`, `eigensystem` or an emitted test term can reach."""
+        return self._source.level_cap
 
     def diag_factors(self, n: int) -> list[np.ndarray]:
         self._check_depth(n)

@@ -4,12 +4,23 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qubitlab as q
+
+
+@pytest.fixture
+def oracles(monkeypatch):
+    """The benchmark's reference oracles, `perfbench/oracles.py`, imported unchanged."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import oracles
+
+    return oracles
 
 
 @pytest.fixture(scope="session")
@@ -90,6 +101,51 @@ def power_spectrum_oracle(factor: np.ndarray, n: int) -> tuple[list[float], floa
         parts.append(np.clip(np.linalg.eigvalsh(traced), 0.0, None).tolist())
     values = sorted((math.prod(c) for c in itertools.product(*parts)), reverse=True)
     return values, math.fsum(-v * math.log2(v) for v in values if v > 0)
+
+
+def power_top_k_types_oracle(factor: np.ndarray, n: int, ranks) -> list[float]:
+    """Top-k eigenvalue masses, for k in ``ranks``, of level n of a factor's tensor power.
+
+    Level n = c k + r is c copies of the k-qubit factor times the factor
+    with its last k - r qubits traced out.  A multiset of c indices into
+    the factor's `numpy.linalg.eigvalsh` eigenvalues (one per copy) is a
+    type: its value is their mpmath product, at 40 digits, and its
+    multiplicity the exact integer multinomial c! / prod(j_i!).  Each type
+    value times each eigenvalue of the trace is one class; classes are
+    taken heaviest first until k eigenvalues are summed.
+    """
+    import mpmath
+
+    m = np.asarray(factor)
+    k = int(m.shape[0]).bit_length() - 1
+    copies, r = divmod(n, k)
+    with mpmath.workdps(40):
+        values = [mpmath.mpf(float(v)) for v in np.clip(np.linalg.eigvalsh(m), 0.0, None)]
+        tail = [mpmath.mpf(1)]
+        if r:
+            cut = 1 << (k - r)
+            traced = np.einsum("iaja->ij", m.reshape(1 << r, cut, 1 << r, cut))
+            tail = [mpmath.mpf(float(v)) for v in np.clip(np.linalg.eigvalsh(traced), 0.0, None)]
+        classes = []
+        for picks in itertools.combinations_with_replacement(range(len(values)), copies):
+            counts = Counter(picks)
+            mult = math.factorial(copies)
+            for j in counts.values():
+                mult //= math.factorial(j)
+            value = mpmath.fprod(values[i] ** j for i, j in counts.items())
+            classes.extend((value * t, mult) for t in tail)
+        classes.sort(key=lambda c: c[0], reverse=True)
+        masses = []
+        for rank in ranks:
+            total, left = mpmath.mpf(0), rank
+            for value, mult in classes:
+                take = min(mult, left)
+                total += take * value
+                left -= take
+                if not left:
+                    break
+            masses.append(float(total))
+        return masses
 
 
 def random_descending(rng, size: int, concentration: float = 1.0) -> np.ndarray:

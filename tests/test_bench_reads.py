@@ -9,22 +9,10 @@ does, and hold its reads to `Projection.rank` and `projection_weight`.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 import qubitlab as q
-
-BENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-@pytest.fixture
-def oracles(monkeypatch):
-    monkeypatch.syspath_prepend(str(BENCH))
-    import oracles
-
-    return oracles
 
 
 def _dense_factor(rng) -> q.DensityOperator:

@@ -23,6 +23,8 @@ from qubitlab.cli import (
 )
 from qubitlab.serialize import dump_json, state_to_json
 
+from conftest import power_spectrum_oracle, random_density_oracle
+
 
 #: the source root of the package under test, for fresh interpreters
 SRC = Path(q.__file__).resolve().parents[1]
@@ -54,6 +56,19 @@ def test_load_state_json_file(tmp_path):
     dump_json(path, state_to_json(q.block_state(10)))
     state = load_state(str(path))
     assert state.max_depth == 10 and state.entropy(9) == pytest.approx(6.0)
+
+
+def test_dense_power_file_replays_an_entropy_profile_past_the_dense_cap(tmp_path):
+    factor = random_density_oracle(np.random.default_rng(21), 2)
+    path, out = tmp_path / "power.json", tmp_path / "profile.csv"
+    dump_json(path, state_to_json(q.tensor_power_state(factor, 100_000)))
+    assert json.loads(path.read_text())["repr"] == "dense"
+    assert run("entropy-profile", "--state", path, "--depth", 100_000, "--out", out) == EXIT_OK
+    lines = out.read_text().splitlines()
+    assert len(lines) == 2 + 100_000 + 1
+    n, h, _ = lines[-2].split(",")
+    _, copy = power_spectrum_oracle(factor.matrix, 2)
+    assert n == "100000" and abs(float(h) - 50_000 * copy) <= 1e-9 * 100_000
 
 
 def test_load_state_rejects_unknown():

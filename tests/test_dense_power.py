@@ -1,5 +1,6 @@
-"""Dense tensor powers answer from their factor's eigensystem, checked against a
-product-spectrum oracle, and no level is ever decomposed."""
+"""Dense tensor powers answer from their factor's eigensystem at any depth, checked
+against product-spectrum, type-class and benchmark oracles; no level is ever
+decomposed, and none past 12 qubits is held."""
 
 import math
 from collections import Counter
@@ -10,7 +11,7 @@ import pytest
 import qubitlab as q
 from qubitlab.linalg import BadDimensionError, DimensionCapError
 
-from conftest import power_spectrum_oracle, random_density_oracle
+from conftest import power_spectrum_oracle, power_top_k_types_oracle, random_density_oracle
 
 
 def _count_eigh(monkeypatch) -> Counter:
@@ -76,17 +77,22 @@ def test_dense_power_eigensystem_diagonalises_its_level():
 
 
 def test_dense_power_cap_reads_max_depth():
+    # any max_depth builds; only the queries that hold a level or read it in a basis stop at 12
     five = random_density_oracle(np.random.default_rng(13), 5)
     state = q.tensor_power_state(five, 11)  # two copies would be 15 qubits; level 11 needs 11
     _, entropy = power_spectrum_oracle(five.matrix, 11)
     assert abs(state.entropy(11) - entropy) <= 1e-12
     assert state.max_depth == 11
     two = random_density_oracle(np.random.default_rng(14), 2)
-    assert q.tensor_power_state(two, 12).max_depth == 12
-    with pytest.raises(DimensionCapError, match="dense cap 12"):
-        q.tensor_power_state(two, 13)
-    with pytest.raises(DimensionCapError, match="dense cap 12"):
-        q.StateSequence("raw", 13, factors=[two.matrix] * 7)
+    raw = q.StateSequence("raw", 13, factors=[two.matrix] * 7)
+    for state in (q.tensor_power_state(two, 13), raw):
+        assert state.max_depth == 13 and state.level_cap == 12
+        assert state.spectrum(6).size == 1 << 6 and state.entropy(13) > 0.0
+        for query in (state.density, state.eigensystem, state.spectrum,
+                      lambda n: q.state_weight(state, n, q.Projection.identity(n))):
+            with pytest.raises(DimensionCapError, match="dense cap 12"):
+                query(13)
+        assert 13 not in state._cache and 13 not in state._spectra
 
 
 def test_dense_blocks_refuse_diagonal_ones_and_the_diagonal_paths():
@@ -125,3 +131,39 @@ def test_factor_writes_reach_no_dense_level():
     assert state.entropy(4) == before[0]
     assert np.array_equal(state.density(2).matrix, before[1])
     assert m.flags.writeable
+
+
+@pytest.mark.parametrize("n", [1_000, 100_001, 1_000_000])
+def test_dense_power_entropy_at_any_depth_matches_the_bench_oracle(oracles, n):
+    factor = random_density_oracle(np.random.default_rng(18), 2)
+    state = q.tensor_power_state(factor, n)
+    want = oracles.power_level_entropy(np.asarray(factor.matrix), 2, n)
+    assert abs(state.entropy(n) - want) <= 1e-9 * n
+    assert not state._cache and not state._spectra
+
+
+@pytest.mark.parametrize("n", [24, 60, 61, 100])
+def test_dense_power_top_k_past_the_dense_cap_matches_the_types_oracle(n):
+    factor = random_density_oracle(np.random.default_rng(18), 2)
+    state = q.tensor_power_state(factor, n)
+    assert state.histogram(n) is not None
+    ranks = (1, 3, 1 << (n // 3), 1 << (n // 2), (1 << (n - 1)) + 7, 1 << n)
+    for rank, want in zip(ranks, power_top_k_types_oracle(factor.matrix, n, ranks)):
+        assert abs(state.top_k_mass(n, rank) - want) <= 1e-12, (n, rank)
+    assert not state._cache and not state._spectra
+
+
+def test_dense_power_builder_refuses_to_emit_past_the_dense_cap(monkeypatch):
+    factor = random_density_oracle(np.random.default_rng(19), 2)
+    # within the cap, every order emits from a level of 12 qubits or fewer
+    kept = q.build_ui_test(q.tensor_power_state(factor, 40), "1/2", 4, 40)
+    assert kept.complete and max(t.qubits for t in kept.test.seq.terms) <= 12
+
+    def refuse(*args):
+        raise AssertionError("a projector was built")
+
+    monkeypatch.setattr(q.rtests, "top_k_projector", refuse)
+    state = q.tensor_power_state(factor, 40)
+    with pytest.raises(DimensionCapError, match=r"order 5 would emit from depth 13, past 12 qubits"):
+        q.build_ui_test(state, "1/2", 6, 40)
+    assert not state._cache

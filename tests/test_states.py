@@ -202,9 +202,17 @@ def test_tensor_power_dense_path(rng):
 
 
 def test_tensor_power_dense_cap_at_construction():
+    # construction takes any depth; the dense cap stops only the queries that hold a level
     base = q.DensityOperator.dense(np.eye(4, dtype=complex) / 4)
-    with pytest.raises(DimensionCapError):
-        q.tensor_power_state(base, 20)
+    raw = q.StateSequence("raw", 13, factors=[base.matrix] * 7)
+    assert q.tracial_state(13).level_cap == 24 and raw.level_cap == 12
+    for state in (q.tensor_power_state(base, 13), raw):
+        assert state.entropy(13) == 13.0 and state.top_k_mass(13, 1 << 12) == 0.5
+        g = q.Projection.from_basis(13, [0, 5])
+        for query in (state.density, state.eigensystem, state.spectrum,
+                      lambda n: q.state_weight(state, n, g)):
+            with pytest.raises(DimensionCapError, match="dense cap 12"):
+                query(13)
 
 
 # --- profiles and estimates ---------------------------------------------------------
