@@ -221,20 +221,14 @@ class Projection:
 
     @classmethod
     def from_factors(cls, factors) -> "Projection":
-        # each (q, index object) is checked once: (q, id(idx)) -> (idx, block), and holding
-        # idx keeps its id from being reused within this call
-        seen: dict[tuple, tuple] = {}
         fs = []
         for q, idx in factors:
-            key = q, id(idx)
-            if key not in seen:
-                if q < 1:
-                    raise BadDimensionError(f"a product block needs a qubit or more, got {q}")
-                arr = _index_set(idx, q, "factor index")
-                if arr.size == 0:
-                    raise BadDimensionError("factor index out of range")
-                seen[key] = idx, (int(q), _readonly(arr))
-            fs.append(seen[key][1])
+            if q < 1:
+                raise BadDimensionError(f"a product block needs a qubit or more, got {q}")
+            arr = _index_set(idx, q, "factor index")
+            if arr.size == 0:
+                raise BadDimensionError("factor index out of range")
+            fs.append((int(q), _readonly(arr)))
         return cls(qubits=sum(q for q, _ in fs), factors=tuple(fs))
 
     @classmethod

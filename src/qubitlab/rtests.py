@@ -442,10 +442,8 @@ def block_state_test(m: int) -> TestTerm:
     if m < 1:
         raise ValueError("m must be >= 1")
     n = block_checkpoint(m)
-    parts = block_state(n).diag_factors(n)
-    # one index array per distinct block; `parts` holds every block, so no id is reused
-    support = {i: np.flatnonzero(f) for i, f in {id(f): f for f in parts}.items()}
-    return TestTerm(m=m, projector=Projection.from_factors((1, support[id(f)]) for f in parts))
+    blocks = ((1, np.flatnonzero(f)) for f in block_state(n).diag_factors(n))
+    return TestTerm(m=m, projector=Projection.from_factors(blocks))
 
 
 def block_test_sequence(terms: int) -> QSTest:

@@ -444,9 +444,15 @@ def _check_scan(state: StateSequence, depth: int, *, top_k: bool = False) -> Non
         raise BadDimensionError(f"depth {depth} is below 1")
     if depth > state.max_depth:
         raise BadDimensionError(f"depth {depth} beyond max_depth {state.max_depth}")
-    cap = state._source.top_k_cap if top_k else state._source.entropy_cap
+    source = state._source
+    cap = source.top_k_cap if top_k else source.entropy_cap
     if depth > cap:
         raise DimensionCapError(f"depth {depth} needs levels past {cap} qubits")
+    # past its level cap, a block source reads top-k masses off the level's histogram alone
+    if (top_k and source.has_factors and depth > source.level_cap
+            and state.histogram(depth) is None):
+        raise DimensionCapError(
+            f"depth {depth} has no spectrum histogram, and its levels are past {source.level_cap} qubits")
 
 
 def entropy_profile(state: StateSequence, depth: int) -> EntropyProfile:

@@ -167,3 +167,18 @@ def test_dense_power_builder_refuses_to_emit_past_the_dense_cap(monkeypatch):
     with pytest.raises(DimensionCapError, match=r"order 5 would emit from depth 13, past 12 qubits"):
         q.build_ui_test(state, "1/2", 6, 40)
     assert not state._cache
+
+
+def test_step_family_refuses_a_depth_with_no_histogram_past_the_level_cap():
+    # top-k masses past the level cap come from the level's histogram alone
+    factor = random_density_oracle(np.random.default_rng(18), 2)
+    state = q.tensor_power_state(factor, 300)
+    assert q.step_family(state, 130).depth == 130
+    assert state.histogram(140) is None
+    with pytest.raises(DimensionCapError, match="depth 140 has no spectrum histogram.*past 12 qubits"):
+        q.step_family(state, 140)
+    many = q.StateSequence("many", 40, factors=[np.random.default_rng(20).dirichlet(np.ones(16))] * 10)
+    assert q.step_family(many, 24).depth == 24
+    with pytest.raises(DimensionCapError, match="depth 25 has no spectrum histogram.*past 24 qubits"):
+        q.step_family(many, 25)
+    assert not state._cache and not state._spectra and not many._cache

@@ -247,21 +247,17 @@ def test_identity_is_one_qubit_blocks_at_any_size():
     assert wide.qubits == 64 and wide.rank == 1 << 64 and q.tau_weight(wide) == 1.0
 
 
-def test_from_factors_checks_each_index_object_once(monkeypatch):
-    calls = []
-    original = q.linalg._index_set
-    monkeypatch.setattr(q.linalg, "_index_set", lambda *a: calls.append(1) or original(*a))
-    one, free = [0], np.arange(2)
-    g = q.Projection.from_factors([(1, one), (1, free)] * 500 + [(2, free)])
-    assert len(calls) == 3 and g.rank == 1 << 501 and g.qubits == 1002
-    # the same blocks from distinct objects: an equal projection
-    assert g == q.Projection.from_factors(
-        [(1, [0]), (1, np.arange(2))] * 500 + [(2, np.arange(2))])
-    # objects made and dropped one by one: each keeps its own id while the call runs
-    cycling = q.Projection.from_factors((2, np.array([i % 3])) for i in range(1000))
-    assert [int(idx[0]) for _, idx in cycling.factors] == [i % 3 for i in range(1000)]
-    with pytest.raises(q.linalg.BadDimensionError, match="out of range"):
-        q.Projection.from_factors([(1, free), (1, [2])])
+def test_from_factors_copies_each_block_as_it_is_yielded():
+    buf = [0]
+
+    def refilled():
+        for b in (0, 1, 1, 0):
+            buf[0] = b
+            yield 1, buf
+
+    g = q.Projection.from_factors(refilled())
+    assert [idx.tolist() for _, idx in g.factors] == [[0], [1], [1], [0]]
+    assert buf == [0] and not g.factors[0][1].flags.writeable
 
 
 def test_factored_projection_expansion_matches_weight(rng):
