@@ -16,7 +16,6 @@ depths far beyond anything a materialised 2^n vector could.
 from __future__ import annotations
 
 import bisect
-import collections
 import functools
 import itertools
 import math
@@ -122,6 +121,33 @@ def _level_histogram(n: int, parts: list[tuple[_FactorSummary, int]]) -> Spectru
     return SpectrumHistogram(n, tuple(v for v, _ in items), tuple(c for _, c in items))
 
 
+#: deepest level of a block state: its entropy sums up to n block entropies left to right,
+#: to a relative error of at most n 2^-53 (Higham, Accuracy and Stability, ch. 4): 2^-20 here
+BLOCK_QUBIT_CAP = 2**33
+
+
+def _fold(s: float, h: float, count: int) -> float:
+    """s + h + ... + h, ``count`` times, added left to right in floats, in O(log count) steps.
+
+    Inside a binade, each step from a point that came from a step inside it (which aligns a
+    round-half-even tie) adds the same r, so the steps that stay inside are one exact t + j r.
+    """
+    while count:
+        t, count = s + h, count - 1
+        if t == s:
+            break
+        m, e = math.frexp(t)
+        if count and m * math.frexp(s)[0] > 0 and math.frexp(s)[1] == e:
+            # t and r in ulps of t's binade, then the steps of r that stay inside it
+            r = (t + h) - t
+            a, k = int(math.ldexp(abs(m), 53)), int(math.ldexp(abs(r), 53 - e))
+            room = (1 << 53) - 1 - a if (r > 0) == (t > 0) else a - (1 << 52) - 1
+            j = min(count, max(room, 0) // k) if k else 0
+            t, count = t + j * r, count - j
+        s = t
+    return s
+
+
 class _Source:
     """Levels from a ``generator``, deterministic and total on 1..max_depth (up to caps).
 
@@ -166,40 +192,48 @@ class _Source:
 
 
 class _Blocks(_Source):
-    """One sequence of probability vectors, each on one qubit or more, through qubit ``max_depth``.
+    """Runs (block, copies) of probability vectors, each on a qubit or more, through ``max_depth``.
 
     Each distinct block object is validated once and held as a read-only
     copy, so writes to the caller's arrays reach no level; its traces, and
-    every held array's eigenvalues and entropy, are computed once too.
+    every held array's eigenvalues, entropy and sup, are computed once too.
     Level n is the prefix: the kron of the blocks that end by qubit n,
     times the next block traced down to fit, so levels are coherent by
-    construction.  Entropy is a prefix sum at any depth.  A level's
-    spectrum is the product of its blocks', so by the method of types it
-    is an exact histogram, usually far shorter than 2^n, which gives top-k
-    masses until the eigenvalues underflow (2^-n does past 1,074 qubits).
+    construction.  Entropy is the head sum, folded a run at a time (see
+    `_fold`), at any depth up to `BLOCK_QUBIT_CAP`.  A level's spectrum is
+    the product of its blocks', so by the method of types it is an exact
+    histogram, usually far shorter than 2^n, which gives top-k masses
+    until the eigenvalues underflow (2^-n does past 1,074 qubits).
     """
 
     has_factors = has_diag_factors = True
-    entropy_cap = top_k_cap = math.inf
+    entropy_cap = top_k_cap = BLOCK_QUBIT_CAP
     _trace, _form, _kind = staticmethod(_pt_diag), "probs", "diagonal"
 
-    def __init__(self, name: str, max_depth: int, factors: tuple):
-        ids = list(map(id, factors))  # the tuple holds every block, so no id is reused below
-        arrays = self._validate(dict(zip(ids, factors)))
-        self._blocks = tuple(map(arrays.__getitem__, ids))
+    def __init__(self, name: str, max_depth: int, runs: Iterable[tuple[np.ndarray, int]]):
+        if max_depth > BLOCK_QUBIT_CAP:
+            raise DimensionCapError(
+                f"{name!r} has max_depth {max_depth}, past the block cap {BLOCK_QUBIT_CAP}")
+        runs = [(f, c) for f, c in runs if c > 0]  # holds every block, so no id is reused below
+        arrays = self._validate({id(f): f for f, _ in runs})
+        self._runs = [(arrays[id(f)], c) for f, c in runs]
         # every array in these tables is held, so their ids stay
         self._traced = {(id(a), c): _readonly(self._trace(a, c))
                         for a in arrays.values() for c in range(1, qubit_count(len(a)))}
         self._values = self._eigenvalues([*arrays.values(), *self._traced.values()])
         self._entropy = {i: _entropy_bits(v) for i, v in self._values.items()}
-        # _head_entropy[i]: the entropies of blocks [:i] summed left to right from 0.0
-        self._head_entropy = np.fromiter(itertools.accumulate(
-            (self._entropy[id(a)] for a in self._blocks), initial=0.0), float, len(ids) + 1)
-        qubits = {i: qubit_count(len(a)) for i, a in arrays.items()}
-        self._ends = list(itertools.accumulate(map(qubits.__getitem__, ids)))
-        if min(qubits.values(), default=0) < 1 or self._ends[-1] < max_depth:
+        self._sup = {id(a): _max_abs(a) for a in arrays.values()}
+        qubits = {id(a): qubit_count(len(a)) for a in arrays.values()}
+        self._ends = list(itertools.accumulate(qubits[id(a)] * c for a, c in self._runs))
+        # a max_depth below 1 passes here, for `StateSequence` to refuse
+        if min(qubits.values(), default=1) < 1 or (self._ends or [0])[-1] < max_depth:
             raise BadDimensionError(
                 f"{name!r} needs blocks of one qubit or more through qubit {max_depth}")
+        # _folded[r]: the entropies of runs [:r] added left to right from 0.0, then the
+        # last (copies, sum) an entropy query folded run r on to
+        entropies = [(self._entropy[id(a)], c) for a, c in self._runs[:-1]]
+        heads = itertools.accumulate(entropies, lambda s, run: _fold(s, *run), initial=0.0)
+        self._folded = [(s, 0, s) for s in heads]
 
     def _validate(self, blocks: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
         return {i: DensityOperator.diagonal(f).probs for i, f in blocks.items()}
@@ -207,16 +241,24 @@ class _Blocks(_Source):
     def _eigenvalues(self, held: list[np.ndarray]) -> dict[int, np.ndarray]:
         return {id(a): a for a in held}
 
-    def _level(self, n: int) -> tuple[int, np.ndarray]:
-        """Level n as (i, last): blocks [:i] end by qubit n, and last is block i traced to fit."""
-        i = bisect.bisect_left(self._ends, n)
-        f, cut = self._blocks[i], self._ends[i] - n
-        return i, self._traced[id(f), cut] if cut else f
+    def _level(self, n: int) -> tuple[int, int, np.ndarray]:
+        """Level n as (r, j, last): runs [:r], then j blocks of run r, end by qubit n; last is
+        the next block traced to fit."""
+        r = bisect.bisect_left(self._ends, n)
+        f, c = self._runs[r]
+        # qubits past n in run r: whole blocks after the last one, and the cut off it
+        after, cut = divmod(self._ends[r] - n, len(f).bit_length() - 1)
+        return r, c - 1 - after, self._traced[id(f), cut] if cut else f
+
+    def _head(self, r: int, j: int) -> list[tuple[np.ndarray, int]]:
+        """The runs of the whole blocks before block j of run r."""
+        return [*self._runs[:r], (self._runs[r][0], j)] if j else self._runs[:r]
 
     def _parts(self, n: int) -> list[np.ndarray]:
         """The blocks of level n, the last one traced to fit."""
-        i, last = self._level(n)
-        return [*self._blocks[:i], last]
+        r, j, last = self._level(n)
+        head = itertools.starmap(itertools.repeat, self._head(r, j))
+        return [*itertools.chain.from_iterable(head), last]
 
     def _refuse_past_cap(self, n: int) -> None:
         if n > self.level_cap:
@@ -234,7 +276,10 @@ class _Blocks(_Source):
 
         Underflowing values are lost, so a total that misses 1 by more than `TOP_K_ERROR` raises.
         """
-        copies = collections.Counter(map(id, self._parts(n)))
+        r, j, last = self._level(n)
+        copies: dict[int, int] = {}  # in the order the blocks first appear
+        for f, c in [*self._head(r, j), (last, 1)]:
+            copies[id(f)] = copies.get(id(f), 0) + c
         hist = _level_histogram(n, [(_summarise(self._values[a]), c) for a, c in copies.items()])
         if hist is not None:
             mass = top_k_sum(hist, 1 << n)
@@ -244,22 +289,34 @@ class _Blocks(_Source):
         return hist
 
     def entropy(self, state: StateSequence, n: int) -> float:
-        i, last = self._level(n)
-        return float(self._head_entropy[i] + self._entropy[id(last)])
+        r, j, last = self._level(n)
+        # fold on from the point the last query left run r at, so an ascending scan adds one
+        # block a level; each stored point is exact, so a racing query's serves as well as ours
+        head, k, s = self._folded[r]
+        if j < k:
+            k, s = 0, head
+        s = _fold(s, self._entropy[id(self._runs[r][0])], j - k)
+        self._folded[r] = head, j, s
+        return s + self._entropy[id(last)]
 
     def deviation(self, state: StateSequence, n: int) -> float:
         """sup(head) times g, as levels n and n-1 share all blocks but the last."""
-        i, last = self._level(n)
+        r, j, last = self._level(n)
         # g is |tr(last) - 1| for a one-qubit last block, else sup|tr_1(last) - last'|
-        g = _max_abs(self._trace(last) - (1.0 if len(last) == 2 else self._level(n - 1)[1]))
-        return math.prod(map(_max_abs, self._blocks[:i]), start=g) if g else 0.0
+        g = _max_abs(self._trace(last) - (1.0 if len(last) == 2 else self._level(n - 1)[2]))
+        for f, c in self._head(r, j):
+            # math.prod's left-to-right product, a run at a time, until a factor stops moving it
+            x = self._sup[id(f)]
+            while c and (p := g * x) != g:
+                g, c = p, c - 1
+        return g
 
     def diag_factors(self, state: StateSequence, n: int) -> list[np.ndarray]:
         return self._parts(n)
 
 
 class _DenseBlocks(_Blocks):
-    """Dense density-matrix blocks, to any depth; only levels held whole stop at the dense cap.
+    """Dense density-matrix blocks, to the block cap; only levels held whole stop at the dense cap.
 
     Each block and trace is decomposed once, and level n's eigensystem is
     the stable-sorted kron of its blocks', memoised as long as the state;
@@ -318,7 +375,9 @@ class StateSequence:
         if factors is not None:
             factors = tuple(factors)
             blocks = _DenseBlocks if factors and np.ndim(factors[0]) == 2 else _Blocks
-            self._source = blocks(name, self.max_depth, factors)
+            # consecutive copies of one block object make one run
+            runs = [(next(g), 1 + sum(1 for _ in g)) for _, g in itertools.groupby(factors, id)]
+            self._source = blocks(name, self.max_depth, runs)
         else:
             self._source = generator if isinstance(generator, _Source) else _Source(generator)
         self._cache: dict[int, DensityOperator] = {}
@@ -512,13 +571,8 @@ def explicit_state(name: str, levels: Sequence[DensityOperator]) -> StateSequenc
 
 def tracial_state(max_depth: int) -> StateSequence:
     """The uniform sequence: every level is 2^-n times the identity."""
-    half = np.array([0.5, 0.5])
-    return StateSequence(
-        "tracial",
-        max_depth,
-        factors=[half] * max_depth,
-        spec={"kind": "tracial", "n_max": max_depth},
-    )
+    source = _Blocks("tracial", max_depth, [(np.array([0.5, 0.5]), max_depth)])
+    return StateSequence("tracial", max_depth, source, spec={"kind": "tracial", "n_max": max_depth})
 
 
 def prng_bits(count: int, seed: int) -> str:
@@ -570,14 +624,13 @@ def block_state(max_depth: int) -> StateSequence:
     the marker [1, 0] when j is a checkpoint and [1/2, 1/2] otherwise.
     """
     e0, half = np.array([1.0, 0.0]), np.array([0.5, 0.5])
-    checkpoints = map(block_checkpoint, itertools.count())
-    marks = set(itertools.takewhile(lambda c: c < max_depth, checkpoints))
-    return StateSequence(
-        "block",
-        max_depth,
-        factors=[e0 if j in marks else half for j in range(max_depth)],
-        spec={"kind": "block", "n_max": max_depth},
-    )
+    # block m: the marker at checkpoint c, then m + 1 uniform qubits, cut off at max_depth
+    checkpoints = itertools.takewhile(lambda c: c < max_depth,
+                                      map(block_checkpoint, itertools.count()))
+    runs = itertools.chain.from_iterable(((e0, 1), (half, min(m + 1, max_depth - 1 - c)))
+                                         for m, c in enumerate(checkpoints))
+    source = _Blocks("block", max_depth, runs)
+    return StateSequence("block", max_depth, source, spec={"kind": "block", "n_max": max_depth})
 
 
 def tensor_power_state(
@@ -585,13 +638,14 @@ def tensor_power_state(
 ) -> StateSequence:
     """Independent copies of a fixed k-qubit operator, traced to every depth.
 
-    The copies are the blocks, so a dense operator is decomposed once (see `_DenseBlocks`).
+    The copies are one run of blocks, so a dense operator is decomposed once (see `_DenseBlocks`).
     """
     k = d.qubits
     label = name or f"power:{k}q"
     spec = {"kind": "tensor_power", "n_max": max_depth, "factor": matrix_to_json(d)}
-    block = d.probs if d.is_diagonal else d.matrix
-    return StateSequence(label, max_depth, factors=[block] * -(-max_depth // k), spec=spec)
+    runs = [(d.probs if d.is_diagonal else d.matrix, -(-max_depth // k))]
+    source = (_Blocks if d.is_diagonal else _DenseBlocks)(label, max_depth, runs)
+    return StateSequence(label, max_depth, source, spec=spec)
 
 
 # ---------------------------------------------------------------------------

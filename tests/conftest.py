@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from collections import Counter
@@ -196,6 +197,38 @@ def binomial_top_sum_oracle(p0: float, p1: float, copies: int, rank: int) -> flo
         if remaining == 0:
             break
     return total
+
+
+def coherence_deviations_oracle(blocks: list[np.ndarray], depth: int) -> list[tuple[int, float]]:
+    """Each level's coherence gap, for n = 2..depth, from its blocks listed one by one.
+
+    Level n is the blocks that end by qubit n, then the next one traced to
+    fit, so levels n and n-1 differ only in that last block, by g: the sup
+    of |tr(last) - 1| for a one-qubit last block, else of |tr_1(last) -
+    last'|.  The gap is g times the sup of every whole block before it,
+    multiplied left to right by `math.prod`, one factor per block.
+    """
+    dense = blocks[0].ndim == 2
+
+    def trace(a: np.ndarray, c: int) -> np.ndarray:
+        """a with its last c qubits traced out."""
+        if not c:
+            return a
+        if dense:
+            r = len(a) >> c
+            return np.einsum("iaja->ij", a.reshape(r, 1 << c, r, 1 << c))
+        return a.reshape(-1, 1 << c).sum(axis=1)
+
+    ends = list(itertools.accumulate(len(b).bit_length() - 1 for b in blocks))
+    sups = [float(np.abs(b).max()) for b in blocks]
+    out = []
+    for n in range(2, depth + 1):
+        i = bisect.bisect_left(ends, n)
+        last = trace(blocks[i], ends[i] - n)
+        below = 1.0 if len(last) == 2 else trace(blocks[i], ends[i] - n + 1)
+        g = float(np.abs(trace(last, 1) - below).max())
+        out.append((n, math.prod(sups[:i], start=g) if g else 0.0))
+    return out
 
 
 def block_markers_oracle(n: int) -> list[int]:

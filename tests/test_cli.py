@@ -258,6 +258,24 @@ def test_cli_entropy_profile_names_a_depth_below_one(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == ["error: depth 0 is below 1"]
 
 
+def test_cli_entropy_profile_past_the_block_cap_exits_2_with_one_line(tmp_path):
+    # a fresh process under a 2 GiB address-space limit, so a per-qubit table would fail fast
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    out = tmp_path / "profile.csv"
+    argv = [sys.executable, "-m", "qubitlab.cli", "entropy-profile", "--state", "builtin:tracial",
+            "--depth", "9000000000", "--out", str(out)]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, preexec_fn=limit, timeout=60)
+    assert proc.returncode == EXIT_VALIDATION, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "error: 'tracial' has max_depth 9000000000, past the block cap 8589934592"]
+    assert not out.exists()
+
+
 def test_cli_evaluate_rejects_negative_terms(tmp_path, capsys):
     test_path = tmp_path / "test.json"
     state = "builtin:pure(bits=0110100110,n=10)"

@@ -4,14 +4,22 @@ decomposed, and none past 12 qubits is held."""
 
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import qubitlab as q
 from qubitlab.linalg import BadDimensionError, DimensionCapError
+from qubitlab.states import BLOCK_QUBIT_CAP
 
-from conftest import power_spectrum_oracle, power_top_k_types_oracle, random_density_oracle
+from conftest import (
+    block_markers_oracle,
+    coherence_deviations_oracle,
+    power_spectrum_oracle,
+    power_top_k_types_oracle,
+    random_density_oracle,
+)
 
 
 def _count_eigh(monkeypatch) -> Counter:
@@ -182,3 +190,38 @@ def test_step_family_refuses_a_depth_with_no_histogram_past_the_level_cap():
     with pytest.raises(DimensionCapError, match="depth 25 has no spectrum histogram.*past 24 qubits"):
         q.step_family(many, 25)
     assert not state._cache and not state._spectra and not many._cache
+
+
+def _held_blocks(kind: str, depth: int) -> tuple[q.StateSequence, list[np.ndarray]]:
+    """A state and its blocks listed one by one, equal to the copies it holds."""
+    half, e0 = np.array([0.5, 0.5]), np.array([1.0, 0.0])
+    if kind == "tracial":
+        return q.tracial_state(depth), [half] * depth
+    if kind == "block":
+        marks = set(block_markers_oracle(depth))
+        return q.block_state(depth), [e0 if j in marks else half for j in range(depth)]
+    k = int(kind.removeprefix("dense"))
+    factor = random_density_oracle(np.random.default_rng(k), k)
+    held = q.validate_density(np.array(factor.matrix, dtype=complex), 1e-8).matrix
+    return q.tensor_power_state(factor, depth), [held] * -(-depth // k)
+
+
+@pytest.mark.parametrize("kind", ["block", "tracial", "dense1", "dense2", "dense3"])
+def test_coherence_deviations_equal_the_expanded_blocks_product(kind):
+    # the product underflows to 0.0 near level 1,250 for the 2- and 3-qubit factors, and
+    # the 1-qubit one's stays at 5e-324, where each further factor rounds it back
+    state, blocks = _held_blocks(kind, 2000)
+    want = coherence_deviations_oracle(blocks, 2000)
+    assert list(q.check_coherence(state, 2000).deviations) == want
+    assert any(dev for _, dev in want) == kind.startswith("dense")
+
+
+def test_dense_power_entropy_at_the_block_cap_is_within_the_sum_bound():
+    # 2^32 copies of one block: the head sum's relative error is at most n 2^-53 = 2^-20
+    factor = random_density_oracle(np.random.default_rng(75), 2)
+    n = BLOCK_QUBIT_CAP
+    state = q.tensor_power_state(factor, n)
+    h = Fraction(state.entropy(2))
+    assert abs(Fraction(state.entropy(n)) - n // 2 * h) <= Fraction(n, 2**53) * (n // 2) * h
+    with pytest.raises(DimensionCapError, match="past the block cap 8589934592"):
+        q.tensor_power_state(factor, n + 1)

@@ -1,4 +1,6 @@
 import ast
+import collections
+import itertools
 import math
 import sys
 import time
@@ -7,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qubitlab as q
 from qubitlab.linalg import (
@@ -16,7 +20,7 @@ from qubitlab.linalg import (
     NotPositiveError,
     WrongTraceError,
 )
-from qubitlab.states import SourceExhaustedError
+from qubitlab.states import SourceExhaustedError, _fold
 
 from conftest import block_level_oracle, block_markers_oracle, entropy_oracle, random_density_oracle
 
@@ -163,6 +167,18 @@ def test_block_state_materialisation_cap():
         b.density(30)
 
 
+def test_tracial_and_block_states_answer_at_a_billion_qubits():
+    # one run per repeated block: neither state holds a table of 10^9 entries
+    start = time.perf_counter()
+    assert q.tracial_state(10**9).entropy(10**9) == 1e9
+    # the last checkpoint c(m) <= 10^9 closes block m - 1, after m markers: H = c(m) - m
+    m = math.isqrt(2 * 10**9)
+    while q.block_checkpoint(m) > 10**9:
+        m -= 1
+    assert q.block_state(10**9).entropy(q.block_checkpoint(m)) == q.block_checkpoint(m) - m
+    assert time.perf_counter() - start < 1.0
+
+
 # --- tensor powers ----------------------------------------------------------------
 
 
@@ -213,6 +229,21 @@ def test_tensor_power_dense_cap_at_construction():
                       lambda n: q.state_weight(state, n, g)):
             with pytest.raises(DimensionCapError, match="dense cap 12"):
                 query(13)
+
+
+_UNITS = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.builds(math.ldexp, st.integers(1, 2**20), st.integers(-60, 0)),  # dyadic: ties
+    st.sampled_from([1.0, 0.0]),
+)
+_STARTS = st.one_of(st.just(0.0), st.floats(0.0, 1e-300), st.floats(1e6, 1e15), st.floats(0.0, 100.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_STARTS, _UNITS, st.integers(0, 10**5))
+def test_the_run_fold_equals_a_left_to_right_sum_bitwise(start, h, count):
+    want = collections.deque(itertools.accumulate(itertools.repeat(h, count), initial=start), 1)[0]
+    assert _fold(start, h, count).hex() == want.hex()
 
 
 # --- profiles and estimates ---------------------------------------------------------
@@ -482,10 +513,17 @@ def test_state_sequence_thread_safe_memoisation():
     # the level and spectrum memos: every racer gets the stored level or
     # spectrum; fresh states give the race several chances to show a lost update
     factor = random_density_oracle(np.random.default_rng(3), 2)
+    # a run's fold memo: racing entropy queries, up and down one run, each read a sum that
+    # is bitwise the left-to-right one, whichever query's point they fold on from
+    depths = np.random.default_rng(4).permutation(np.arange(1, 10**6, 997)).tolist()
+    want = {n: q.tensor_power_state(factor, 10**6).entropy(n) for n in depths}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         for _ in range(10):
+            deep = q.tensor_power_state(factor, 10**6)
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                assert list(pool.map(deep.entropy, depths, timeout=60)) == [want[n] for n in depths]
             fresh = q.block_state(20)
             with ThreadPoolExecutor(max_workers=8) as pool:
                 levels = list(pool.map(lambda _: fresh.density(14), range(32), timeout=60))
