@@ -57,7 +57,6 @@ from .rtests import (
     build_ui_test,
     evaluate_failure,
     null_condition_trend,
-    pad_to_multiple,
     state_weight,
     typical_subspace_decay,
     validate_qstest,

@@ -24,7 +24,6 @@ import numpy as np
 
 from .dyadic import as_fraction, rank_ceil, rank_floor
 from .linalg import (
-    DENSE_QUBIT_CAP,
     DIAG_QUBIT_CAP,
     BadDimensionError,
     DensityOperator,
@@ -78,16 +77,9 @@ class ProjectionSequence:
 
 @dataclass(frozen=True)
 class QSTest:
-    """Projection sequence plus a budget certificate for its total weight.
-
-    ``budget`` is "geometric" (each tau(S^m) <= 2^-m), "explicit"
-    (monotone partial sums supplied), or anything else, which downstream
-    validation flags as unverified.
-    """
+    """Projection sequence whose terms carry the geometric certificate tau(S^m) <= 2^-m."""
 
     seq: ProjectionSequence
-    budget: str = "geometric"
-    partial_sums: tuple[float, ...] | None = None
 
     def as_null_condition(self) -> "NullCondition":
         return NullCondition(seq=self.seq)
@@ -131,22 +123,17 @@ class FailureReport:
         return min(self.weights) if self.weights else math.inf
 
     @property
-    def all_witness(self) -> bool:
-        return bool(self.ms) and len(self.witnesses) == len(self.ms)
-
-    @property
     def satisfied_evidence(self) -> bool:
         return self.min_weight <= self.delta
 
 
 @dataclass(frozen=True)
 class ValidationReport:
-    status: str  # "valid" | "invalid" | "unverified"
-    violations: tuple[tuple[int, float, float], ...] = ()  # (m, value, bound)
+    violations: tuple[tuple[int, float, float], ...] = ()  # (m, tau, 2^-m)
 
     @property
     def valid(self) -> bool:
-        return self.status == "valid"
+        return not self.violations
 
 
 @dataclass(frozen=True)
@@ -235,36 +222,12 @@ def evaluate_failure(
 
 
 def validate_qstest(test: QSTest, depth: int) -> ValidationReport:
-    """Check the budget certificate through the given order.
-
-    Geometric budgets are checked exactly: rank * 2^m <= 2^n per term.
-    Explicit budgets must be non-decreasing and consistent with the terms'
-    actual normalised ranks.  Any other budget label is left unverified.
-    """
-    terms = test.seq.up_to(depth)
-    if test.budget == "geometric":
-        violations = []
-        for t in terms:
-            if (t.projector.rank << t.m) > (1 << t.qubits):
-                violations.append((t.m, tau_weight(t.projector), 2.0**-t.m))
-        status = "valid" if not violations else "invalid"
-        return ValidationReport(status=status, violations=tuple(violations))
-    if test.budget == "explicit":
-        sums = test.partial_sums or ()
-        violations = []
-        prev = 0.0
-        for i, s in enumerate(sums[:depth], start=1):
-            if s < prev - 1e-12:
-                violations.append((i, s, prev))
-            prev = s
-        for t in terms:
-            if t.m <= len(sums):
-                inc = sums[t.m - 1] - (sums[t.m - 2] if t.m >= 2 else 0.0)
-                if abs(inc - tau_weight(t.projector)) > 1e-9:
-                    violations.append((t.m, inc, tau_weight(t.projector)))
-        status = "valid" if not violations else "invalid"
-        return ValidationReport(status=status, violations=tuple(violations))
-    return ValidationReport(status="unverified")
+    """Check the geometric certificate through the given order, exactly: rank * 2^m <= 2^n."""
+    return ValidationReport(tuple(
+        (t.m, tau_weight(t.projector), 2.0**-t.m)
+        for t in test.seq.up_to(depth)
+        if (t.projector.rank << t.m) > (1 << t.qubits)
+    ))
 
 
 def null_condition_trend(cond: NullCondition, depth: int) -> TrendReport:
@@ -331,7 +294,7 @@ def _scan(
         if not certified(m, n, proj.rank):
             raise CertificateError(f"order {m}: {what} at depth {n}")
         built.append(TestTerm(m=m, projector=proj))
-    test = QSTest(seq=ProjectionSequence(terms=tuple(built)), budget="geometric")
+    test = QSTest(seq=ProjectionSequence(terms=tuple(built)))
     return BuildOutcome(
         test=test, exhausted=tuple(exhausted), requested_terms=terms, depth_cap=depth_cap
     )
@@ -448,27 +411,8 @@ def block_state_test(m: int) -> TestTerm:
 
 def block_test_sequence(terms: int) -> QSTest:
     return QSTest(
-        seq=ProjectionSequence(terms=tuple(block_state_test(m) for m in range(1, terms + 1))),
-        budget="geometric",
+        seq=ProjectionSequence(terms=tuple(block_state_test(m) for m in range(1, terms + 1)))
     )
-
-
-def pad_to_multiple(g: Projection, k: int) -> Projection:
-    """Extend a projection with identity qubits up to a multiple of k.
-
-    Both the normalised rank and every coherent state's weight are
-    unchanged: the identity padding is traced away by coherence.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    pad = (-g.qubits) % k
-    if pad == 0:
-        return g
-    if g.factors is not None:
-        return Projection.from_factors(g.factors + ((1, np.arange(2)),) * pad)
-    if g.qubits + pad > DENSE_QUBIT_CAP:
-        raise DimensionCapError(f"{g.qubits + pad} qubits exceeds dense cap {DENSE_QUBIT_CAP}")
-    return Projection(qubits=g.qubits + pad, matrix=np.kron(g.matrix, np.eye(1 << pad)))
 
 
 def typical_subspace_decay(d: DensityOperator, rate, depth: int) -> DecayCurve:

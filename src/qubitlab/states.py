@@ -68,6 +68,9 @@ def _summarise(f: np.ndarray) -> _FactorSummary:
 
 def _types(copies: int, parts: int):
     """Every tuple of ``parts`` nonnegative ints summing to ``copies`` (stars and bars)."""
+    if parts == 1:  # `combinations` would copy its whole range into a tuple first
+        yield (copies,)
+        return
     for bars in itertools.combinations(range(copies + parts - 1), parts - 1):
         edges = (-1, *bars, copies + parts - 1)
         yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))

@@ -102,6 +102,7 @@ def test_build_and_evaluate_roundtrip(tmp_path):
     )
     assert code == EXIT_OK
     payload = json.loads(test_path.read_text())
+    assert payload["certificate"] == {"type": "geometric"}
     assert payload["build"]["exhausted"] == []
     assert [t["n_m"] for t in payload["terms"]] == [3, 5, 7, 9, 11, 13, 15, 17]
     for cert in payload["build"]["certificates"]:
@@ -136,6 +137,7 @@ def test_build_test_other_kinds(tmp_path):
     assert code == EXIT_EXHAUSTED  # orders 4.. cannot be pinned
     payload = json.loads((tmp_path / "ui.json").read_text())
     assert [t["m"] for t in payload["terms"]] == [1, 2, 3]
+    assert payload["certificate"] == {"type": "geometric"}
 
 
 def test_build_test_exhaustion_exit_code(tmp_path):
@@ -287,6 +289,20 @@ def test_cli_evaluate_rejects_negative_terms(tmp_path, capsys):
                "--out", out) == EXIT_VALIDATION
     assert not out.exists()
     assert capsys.readouterr().err.splitlines() == ["error: depth -1 is below 0"]
+
+
+def test_cli_evaluate_refuses_a_test_with_a_foreign_certificate(tmp_path, capsys):
+    test_path, out = tmp_path / "test.json", tmp_path / "eval.csv"
+    state = "builtin:pure(bits=0110100110,n=10)"
+    assert run("build-test", "--kind", "ui", "--state", state, "--terms", 3, "--depth", 10,
+               "--out", test_path) == EXIT_OK
+    payload = json.loads(test_path.read_text())
+    payload["certificate"] = {"type": "explicit", "values": [0.5, 0.75, 0.875]}
+    dump_json(test_path, payload)
+    assert run("evaluate", "--state", state, "--test", test_path, "--out", out) == EXIT_VALIDATION
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines() == [
+        "error: unsupported certificate type 'explicit' for a qs test"]
 
 
 def test_cli_evaluate_refuses_a_depth_past_the_state(tmp_path, capsys):

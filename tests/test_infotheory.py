@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import qubitlab as q
+from qubitlab.linalg import DimensionCapError
 
 from conftest import (
     entropy_oracle,
@@ -206,6 +209,22 @@ def test_step_family_pure_spike():
         assert fam.evaluate(n, 0.0) == pytest.approx(2.0**n)
         assert fam.evaluate(n, 0.9) == 0.0
         assert float(fam.member(n).sum()) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("make", [q.tracial_state, q.block_state], ids=["tracial", "block"])
+def test_step_family_refuses_a_deep_one_valued_level_without_a_per_qubit_table(make):
+    # a one-valued factor has one type, so enumerating it must not copy an n-entry range
+    n = 10**8
+    state = make(n)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(DimensionCapError, match="underflow"):
+            q.step_family(state, n)
+        elapsed, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 2.0 and peak < 150e6, (elapsed, peak)
 
 
 def test_prefix_integral_values(fixture_states):

@@ -262,11 +262,6 @@ REFUSALS = {
     "product-block-negative-qubits": (
         lambda: q.Projection.from_factors([(-1, [0])]),
         BadDimensionError, "a product block needs a qubit or more, got -1"),
-    "pad-to-multiple-0": (
-        lambda: q.pad_to_multiple(_ZERO, 0), ValueError, "k must be >= 1"),
-    "pad-dense-cap": (
-        lambda: q.pad_to_multiple(q.Projection.from_matrix(np.diag([1.0, 0.0])), 31),
-        DimensionCapError, "31 qubits exceeds dense cap 12"),
     "typical-decay-cap": (
         lambda: q.typical_subspace_decay(_SKEWED, Fraction(1, 4), 25),
         DimensionCapError, "2\\^25 entries"),
@@ -282,6 +277,10 @@ REFUSALS = {
     "json-test-kind": (
         lambda: projection_test_from_json({"kind": "nope", "terms": []}),
         ValueError, "unknown test kind 'nope'"),
+    "json-qs-certificate": (
+        lambda: projection_test_from_json({"kind": "qs", "terms": [], "certificate": {
+            "type": "explicit", "values": [0.5, 0.75]}}),
+        ValueError, "unsupported certificate type 'explicit' for a qs test"),
     "json-term-qubits": (
         lambda: projection_test_from_json({"kind": "qs", "terms": [
             {"m": 3, "n_m": 3, "projector": {"qubits": 2, "kind": "basis", "indices": [0]}}]}),

@@ -185,9 +185,12 @@ def test_qs_test_roundtrip():
     test = q.block_test_sequence(4)
     back = projection_test_from_json(projection_test_to_json(test))
     assert isinstance(back, q.QSTest)
-    assert back.budget == "geometric"
+    assert projection_test_to_json(test)["certificate"] == {"type": "geometric"}
     assert back.seq.terms == test.seq.terms
     assert q.validate_qstest(back, 4).valid
+    # a file that states no certificate carries the geometric one
+    bare = {k: v for k, v in projection_test_to_json(test).items() if k != "certificate"}
+    assert projection_test_from_json(bare).seq.terms == test.seq.terms
 
 
 def test_block_test_file_in_its_earlier_layout_still_weighs_one():
