@@ -476,8 +476,12 @@ def matrix_from_json(obj: dict) -> DensityOperator:
 def validate_density(matrix: np.ndarray, tol: float) -> DensityOperator:
     """Check Hermiticity, unit trace and positivity; return the operator.
 
-    Raises a distinct error type per failure mode.  Eigenvalues in
-    [-tol, 0) are accepted; `eigendecompose` clips them later.
+    Raises a distinct error type per failure mode.  The positivity floor is
+    f = min(max(tol, 1e-12), EIG_CLIP_TOL), so `eigendecompose` refuses nothing
+    accepted here.  A Cholesky factorisation of m + f I, a quarter of the cost
+    of an eigenvalue solve, certifies no eigenvalue below -f to within its
+    rounding, about dim 2^-53 ||m|| (Higham, Accuracy and Stability, ch. 10).
+    If it fails, eigenvalues decide: those in [-f, 0) are accepted, to be clipped.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -491,5 +495,11 @@ def validate_density(matrix: np.ndarray, tol: float) -> DensityOperator:
     tr = m.trace().real
     if abs(tr - 1.0) > max(tol, 1e-12):
         raise WrongTraceError(f"trace is {tr}, not 1")
-    _finite(np.linalg.eigvalsh(m), "eigenvalue", max(tol, 1e-12))
+    floor = min(max(tol, 1e-12), EIG_CLIP_TOL)
+    shifted = m.copy()
+    shifted.flat[:: m.shape[0] + 1] += floor
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        _finite(np.linalg.eigvalsh(m), "eigenvalue", floor)
     return DensityOperator(qubits=n, matrix=_readonly(m))

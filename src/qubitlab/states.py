@@ -253,9 +253,9 @@ class _Blocks(_Source):
         after, cut = divmod(self._ends[r] - n, len(f).bit_length() - 1)
         return r, c - 1 - after, self._traced[id(f), cut] if cut else f
 
-    def _head(self, r: int, j: int) -> list[tuple[np.ndarray, int]]:
+    def _head(self, r: int, j: int) -> Iterable[tuple[np.ndarray, int]]:
         """The runs of the whole blocks before block j of run r."""
-        return [*self._runs[:r], (self._runs[r][0], j)] if j else self._runs[:r]
+        return itertools.chain(itertools.islice(self._runs, r), [(self._runs[r][0], j)] if j else ())
 
     def _parts(self, n: int) -> list[np.ndarray]:
         """The blocks of level n, the last one traced to fit."""
@@ -277,15 +277,18 @@ class _Blocks(_Source):
     def histogram(self, state: StateSequence, n: int) -> SpectrumHistogram | None:
         """Each distinct block's type classes, multiplied, or None (see `_level_histogram`).
 
-        Underflowing values are lost, so a total that misses 1 by more than `TOP_K_ERROR` raises.
+        Underflowing values are lost, so a total that misses 1 by more than `TOP_K_ERROR` raises,
+        at once if the largest value, multiplied as in `_level_histogram`, underflows to 0.
         """
         r, j, last = self._level(n)
         copies: dict[int, int] = {}  # in the order the blocks first appear
-        for f, c in [*self._head(r, j), (last, 1)]:
+        for f, c in itertools.chain(self._head(r, j), [(last, 1)]):
             copies[id(f)] = copies.get(id(f), 0) + c
-        hist = _level_histogram(n, [(_summarise(self._values[a]), c) for a, c in copies.items()])
-        if hist is not None:
-            mass = top_k_sum(hist, 1 << n)
+        parts = [(_summarise(self._values[a]), c) for a, c in copies.items()]
+        top = math.prod(s.values[0] ** c for s, c in parts)
+        hist = _level_histogram(n, parts) if top else None
+        if hist is not None or not top:
+            mass = top and top_k_sum(hist, 1 << n)
             if not abs(mass - 1.0) <= TOP_K_ERROR:
                 raise DimensionCapError(
                     f"level {n} keeps mass {mass!r} in floats: its eigenvalues underflow")
@@ -338,13 +341,23 @@ class _DenseBlocks(_Blocks):
         self._eigen = {id(a): eigendecompose(DensityOperator(qubit_count(len(a)), a)) for a in held}
         return {i: s.eigenvalues for i, s in self._eigen.items()}
 
-    def eigensystem(self, state: StateSequence, n: int) -> Spectrum:
+    def _sorted_values(self, n: int) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+        """Level n's blocks, the stable-sorted kron of their eigenvalues, and its sorting order."""
         self._refuse_past_cap(n)
         parts = self._parts(n)
         w = functools.reduce(np.kron, [self._values[id(a)] for a in parts])
-        v = functools.reduce(np.kron, [self._eigen[id(a)].eigenvectors for a in parts])
         order = np.argsort(-w, kind="stable")
-        return Spectrum(eigenvalues=_readonly(w[order]), eigenvectors=_readonly(v[:, order]))
+        return parts, _readonly(w[order]), order
+
+    def eigensystem(self, state: StateSequence, n: int) -> Spectrum:
+        parts, w, order = self._sorted_values(n)
+        v = functools.reduce(np.kron, [self._eigen[id(a)].eigenvectors for a in parts])
+        return Spectrum(eigenvalues=w, eigenvectors=_readonly(v[:, order]))
+
+    def top_k(self, state: StateSequence, n: int, k: int) -> float:
+        """From the histogram, else the sorted eigenvalues alone: eigenvectors wait for a projector."""
+        hist = state.histogram(n)
+        return top_k_sum(Spectrum(self._sorted_values(n)[1]) if hist is None else hist, k)
 
 
 class StateSequence:

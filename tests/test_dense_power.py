@@ -3,6 +3,7 @@ against product-spectrum, type-class and benchmark oracles; no level is ever
 decomposed, and none past 12 qubits is held."""
 
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -57,6 +58,29 @@ def test_dense_power_matches_product_spectrum_oracle(monkeypatch, k):
     # the level's product eigensystem there (for k = 3 up to depth 12)
     assert declined and (k < 3 or 12 in declined), declined
     assert max(dims) <= 1 << k, dict(dims)
+
+
+def test_dense_power_top_k_masses_build_no_eigenvectors():
+    # levels 8-12 of a 3-qubit factor decline the histogram; their masses come from the
+    # sorted eigenvalues alone, bitwise the eigensystem's prefix sums
+    factor = random_density_oracle(np.random.default_rng(43), 3)
+    state = q.tensor_power_state(factor, 12)
+    for n in (8, 9, 10):
+        assert state.histogram(n) is None
+        ranks = range(1, (1 << n) + 1, 37)
+        masses = [state.top_k_mass(n, k) for k in ranks]
+        assert n not in state._spectra
+        values = state.eigensystem(n).eigenvalues
+        assert masses == [float(values[:k].sum()) for k in ranks], n
+    assert state.histogram(12) is None
+    tracemalloc.start()
+    try:
+        masses = [state.top_k_mass(12, k) for k in (1, 3, 64, 4095, 4096)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6 and 12 not in state._spectra, peak
+    assert masses[-1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_dense_power_levels_are_krons_of_the_factor_and_its_trace():

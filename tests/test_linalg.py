@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 import qubitlab as q
 from qubitlab.linalg import (
+    EIG_CLIP_TOL,
     BadDimensionError,
     DimensionCapError,
+    MalformedOperatorError,
     NonHermitianError,
     NotPositiveError,
     WrongTraceError,
@@ -316,6 +318,74 @@ def test_validate_density_clips_tiny_negative(rng):
     spec = q.eigendecompose(d)
     assert spec.eigenvalues.min() >= 0.0
     assert spec.eigenvalues.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def _synthesis(rng, w: np.ndarray) -> np.ndarray:
+    """v diag(w) v^dagger for a random unitary v, Hermitian to the last bit."""
+    g = rng.standard_normal((w.size, w.size)) + 1j * rng.standard_normal((w.size, w.size))
+    v, _ = np.linalg.qr(g)
+    m = (v * w) @ v.conj().T
+    return (m + m.conj().T) / 2
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 10),
+       st.sampled_from([-10.0, -1.001, -0.999, 0.0, 1.0]), st.sampled_from([1e-10, 1e-9, 1e-3]))
+@settings(max_examples=30, deadline=None)
+def test_validate_density_refuses_exactly_below_the_floor(seed, qubits, scale, tol):
+    # the smallest eigenvalue sits at scale times the floor; 0.001 of a floor is far
+    # above the synthesis' and the factorisation's rounding at these sizes
+    floor = min(tol, EIG_CLIP_TOL)
+    rng = np.random.default_rng(seed)
+    w = rng.dirichlet(np.ones(1 << qubits))
+    w[-1] = scale * floor
+    w[0] += 1.0 - w.sum()
+    m = _synthesis(rng, w)
+    if w.min() < -floor:
+        with pytest.raises(NotPositiveError, match=r"eigenvalue \S+ below -"):
+            q.validate_density(m, tol)
+    else:
+        assert q.validate_density(m, tol).qubits == qubits
+
+
+def test_validate_density_accepts_without_an_eigensolve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an accepted density needs no eigensolve")
+
+    rng = np.random.default_rng(27)
+    g = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    ginibre = g @ g.conj().T
+    accepted = [ginibre / ginibre.trace().real, KET0,
+                _synthesis(rng, np.array([0.5, 0.5 + 5e-10, 0.0, -5e-10]))]
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    for m in accepted:
+        assert q.validate_density(m, 1e-9).matrix.shape == m.shape
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_validate_density_refuses_non_finite_before_factorising(monkeypatch, bad):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a non-finite matrix reached a factorisation")
+
+    for name in ("cholesky", "eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    m = np.eye(4, dtype=complex) / 4
+    m[1, 1] = bad
+    with pytest.raises(MalformedOperatorError, match="non-finite"):
+        q.validate_density(m, 1e-9)
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-3])
+def test_validate_density_refuses_what_eigendecompose_would(tol):
+    # -5e-9 passed the old floor of tol = 1e-8, and then `eigendecompose` refused the level
+    bad = _synthesis(np.random.default_rng(5), np.array([0.6, 0.4 + 5e-9, 0.0, -5e-9]))
+    with pytest.raises(NotPositiveError, match="below -1e-09"):
+        q.validate_density(bad, tol)
+    good = q.validate_density(
+        _synthesis(np.random.default_rng(5), np.array([0.6, 0.4 + 5e-10, 0.0, -5e-10])), tol)
+    assert q.von_neumann_entropy(good) == pytest.approx(entropy_oracle([0.6, 0.4]), abs=1e-8)
+    assert q.tensor_power_state(good, 4).entropy(4) == pytest.approx(
+        2 * entropy_oracle([0.6, 0.4]), abs=1e-8)
 
 
 def test_shannon_entropy_bitwise_and_one_temporary():
