@@ -22,7 +22,7 @@ DIAG_QUBIT_CAP = 24
 
 #: eigenvalues in [-EIG_CLIP_TOL, 0) are eigensolver noise and are clipped
 EIG_CLIP_TOL = 1e-9
-#: clipped eigenvalues may drift this far from sum 1 before we refuse
+#: eigenvalues, before clipping, may drift this far from sum 1 before we refuse
 EIG_SUM_TOL = 1e-6
 
 
@@ -321,11 +321,11 @@ def partial_trace_k(d: DensityOperator, a: int) -> DensityOperator:
 
 def _clean_eigenvalues(w: np.ndarray) -> np.ndarray:
     _finite(w, "eigenvalue", EIG_CLIP_TOL, MalformedOperatorError)
-    w = np.clip(w, 0.0, 1.0)
     total = float(w.sum())
     if abs(total - 1.0) > EIG_SUM_TOL:
         raise MalformedOperatorError(f"eigenvalues sum to {total}, not 1")
-    return w / total
+    w = np.clip(w, 0.0, 1.0)
+    return w / float(w.sum())
 
 
 def eigendecompose(d: DensityOperator) -> Spectrum:
@@ -385,8 +385,8 @@ def _as_descending(s) -> np.ndarray:
 def top_k_sum(s, k: int) -> float:
     """Sum of the k largest eigenvalues of a spectrum, operator or histogram."""
     if isinstance(s, SpectrumHistogram):
-        if not 1 <= k <= 1 << s.qubits:
-            raise BadDimensionError(f"k={k} out of range 1..{1 << s.qubits}")
+        if k < 1 or (k - 1).bit_length() > s.qubits:  # 1 <= k <= 2^qubits
+            raise BadDimensionError(f"k={k} out of range 1..2^{s.qubits}")
         total = 0.0
         for v, c in zip(s.values, s.multiplicities):
             take = min(c, k)
@@ -476,12 +476,14 @@ def matrix_from_json(obj: dict) -> DensityOperator:
 def validate_density(matrix: np.ndarray, tol: float) -> DensityOperator:
     """Check Hermiticity, unit trace and positivity; return the operator.
 
-    Raises a distinct error type per failure mode.  The positivity floor is
-    f = min(max(tol, 1e-12), EIG_CLIP_TOL), so `eigendecompose` refuses nothing
-    accepted here.  A Cholesky factorisation of m + f I, a quarter of the cost
-    of an eigenvalue solve, certifies no eigenvalue below -f to within its
-    rounding, about dim 2^-53 ||m|| (Higham, Accuracy and Stability, ch. 10).
-    If it fails, eigenvalues decide: those in [-f, 0) are accepted, to be clipped.
+    Raises a distinct error type per failure mode.  With t = max(tol, 1e-12),
+    the trace may miss 1 by min(t, EIG_SUM_TOL / 2), leaving the sum rule room
+    for rounding, and the positivity floor is f = min(t, EIG_CLIP_TOL), so at
+    any tol and dimension `eigendecompose` refuses nothing accepted here.  A
+    Cholesky factorisation of m + f I, a quarter of the cost of an eigenvalue
+    solve, certifies no eigenvalue below -f to within its rounding, about
+    dim 2^-53 ||m|| (Higham, Accuracy and Stability, ch. 10).  If it fails,
+    eigenvalues decide: those in [-f, 0) are accepted, to be clipped.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -493,7 +495,7 @@ def validate_density(matrix: np.ndarray, tol: float) -> DensityOperator:
     if np.abs(m - m.conj().T).max() > tol:
         raise NonHermitianError("matrix is not Hermitian within tolerance")
     tr = m.trace().real
-    if abs(tr - 1.0) > max(tol, 1e-12):
+    if abs(tr - 1.0) > min(max(tol, 1e-12), EIG_SUM_TOL / 2):
         raise WrongTraceError(f"trace is {tr}, not 1")
     floor = min(max(tol, 1e-12), EIG_CLIP_TOL)
     shifted = m.copy()

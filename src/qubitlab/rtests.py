@@ -190,10 +190,10 @@ class DecayCurve:
 
 
 def state_weight(state: StateSequence, n: int, g: Projection) -> float:
-    """Tr(rho_n G): by diagonal blocks when state and projection have them, else materialised."""
+    """Tr(rho_n G): a product projection by the state's diagonal blocks, else materialised."""
     if g.qubits != n:
         raise BadDimensionError(f"projection on {g.qubits} qubits, depth {n}")
-    if state.has_diag_factors and g.matrix is None:
+    if g.matrix is None:
         return _product_weight(state.diag_factors(n), g.factors)
     return projection_weight(state.density(n), g)
 

@@ -111,7 +111,7 @@ def _level_histogram(n: int, parts: list[tuple[_FactorSummary, int]]) -> Spectru
     types = [math.comb(c + len(s.values) - 1, c) for s, c in parts]
     size = math.prod(types)
     work = sum(t * len(s.values) for t, (s, _) in zip(types, parts)) + len(parts) * size
-    if size >= 1 << n or work > 1 << (min(max(n, 12), DIAG_QUBIT_CAP - 3) - 3):
+    if size.bit_length() > n or work > 1 << (min(max(n, 12), DIAG_QUBIT_CAP - 3) - 3):
         return None
     acc = {1.0: 1}
     for s, c in parts:
@@ -154,32 +154,41 @@ def _fold(s: float, h: float, count: int) -> float:
 class _Source:
     """Levels from a ``generator``, deterministic and total on 1..max_depth (up to caps).
 
-    Each query takes the state it answers for and reads its memoised
-    levels and spectra; no form holds a level past its ``level_cap`` qubits.
+    Each query takes the state it answers for and reads its memoised levels and
+    spectra; no form holds a level past ``level_cap``, the one cap of a source.
     """
 
-    has_factors = has_diag_factors = False
-    #: deepest level that an entropy scan, or a top-k scan, can read (see `_check_scan`),
-    #: and (``level_cap``) that a density, eigensystem or emitted test term can reach
-    entropy_cap = top_k_cap = level_cap = DIAG_QUBIT_CAP
+    has_factors = False
+    #: deepest level that a density, eigensystem or emitted test term can reach
+    level_cap = DIAG_QUBIT_CAP
     #: absolute error bound on a top-k mass
     top_k_error = 0.0
+    _kind = "diagonal"
 
     def __init__(self, generator: Callable[[int], DensityOperator]):
         self._generator = generator
 
+    def _refuse_past_cap(self, n: int) -> None:
+        if n > self.level_cap:
+            raise DimensionCapError(
+                f"cannot materialise {n} qubits past the {self._kind} cap {self.level_cap}")
+
     def density(self, state: StateSequence, n: int) -> DensityOperator:
+        self._refuse_past_cap(n)
         return self._generator(n)
 
     def eigensystem(self, state: StateSequence, n: int) -> Spectrum:
         return eigendecompose(state.density(n))
+
+    def spectrum(self, state: StateSequence, n: int) -> np.ndarray:
+        return state.eigensystem(n).eigenvalues
 
     def histogram(self, state: StateSequence, n: int) -> SpectrumHistogram | None:
         return None
 
     def top_k(self, state: StateSequence, n: int, k: int) -> float:
         hist = state.histogram(n)
-        return top_k_sum(state.eigensystem(n) if hist is None else hist, k)
+        return top_k_sum(Spectrum(state.spectrum(n)) if hist is None else hist, k)
 
     def entropy(self, state: StateSequence, n: int) -> float:
         return von_neumann_entropy(state.eigensystem(n))
@@ -191,7 +200,7 @@ class _Source:
         return _max_abs(top.dense_matrix() - below.dense_matrix())
 
     def diag_factors(self, state: StateSequence, n: int) -> list[np.ndarray]:
-        raise BadDimensionError(f"{state.name} has no diagonal factored form")
+        return [state.density(n).diagonal_part()]
 
 
 class _Blocks(_Source):
@@ -209,9 +218,8 @@ class _Blocks(_Source):
     until the eigenvalues underflow (2^-n does past 1,074 qubits).
     """
 
-    has_factors = has_diag_factors = True
-    entropy_cap = top_k_cap = BLOCK_QUBIT_CAP
-    _trace, _form, _kind = staticmethod(_pt_diag), "probs", "diagonal"
+    has_factors = True
+    _trace, _form = staticmethod(_pt_diag), "probs"
 
     def __init__(self, name: str, max_depth: int, runs: Iterable[tuple[np.ndarray, int]]):
         if max_depth > BLOCK_QUBIT_CAP:
@@ -263,11 +271,6 @@ class _Blocks(_Source):
         head = itertools.starmap(itertools.repeat, self._head(r, j))
         return [*itertools.chain.from_iterable(head), last]
 
-    def _refuse_past_cap(self, n: int) -> None:
-        if n > self.level_cap:
-            raise DimensionCapError(
-                f"cannot materialise {n} qubits past the {self._kind} cap {self.level_cap}")
-
     def density(self, state: StateSequence, n: int) -> DensityOperator:
         self._refuse_past_cap(n)
         # the blocks are validated copies, so their product needs no check
@@ -288,7 +291,7 @@ class _Blocks(_Source):
         top = math.prod(s.values[0] ** c for s, c in parts)
         hist = _level_histogram(n, parts) if top else None
         if hist is not None or not top:
-            mass = top and top_k_sum(hist, 1 << n)
+            mass = top and top_k_sum(hist, sum(hist.multiplicities))
             if not abs(mass - 1.0) <= TOP_K_ERROR:
                 raise DimensionCapError(
                     f"level {n} keeps mass {mass!r} in floats: its eigenvalues underflow")
@@ -326,10 +329,10 @@ class _DenseBlocks(_Blocks):
 
     Each block and trace is decomposed once, and level n's eigensystem is
     the stable-sorted kron of its blocks', memoised as long as the state;
-    it and the density refuse past `DENSE_QUBIT_CAP`, as the blocks answer the rest.
+    it, its eigenvalues and the density refuse past `DENSE_QUBIT_CAP`; the blocks answer the rest.
     """
 
-    has_diag_factors, level_cap = False, DENSE_QUBIT_CAP
+    level_cap = DENSE_QUBIT_CAP
     _trace, _form, _kind = staticmethod(_pt_dense), "matrix", "dense"
     diag_factors = _Source.diag_factors
 
@@ -354,10 +357,9 @@ class _DenseBlocks(_Blocks):
         v = functools.reduce(np.kron, [self._eigen[id(a)].eigenvectors for a in parts])
         return Spectrum(eigenvalues=w, eigenvectors=_readonly(v[:, order]))
 
-    def top_k(self, state: StateSequence, n: int, k: int) -> float:
-        """From the histogram, else the sorted eigenvalues alone: eigenvectors wait for a projector."""
-        hist = state.histogram(n)
-        return top_k_sum(Spectrum(self._sorted_values(n)[1]) if hist is None else hist, k)
+    def spectrum(self, state: StateSequence, n: int) -> np.ndarray:
+        """The sorted eigenvalues alone: eigenvectors wait for a projector."""
+        return self._sorted_values(n)[1]
 
 
 class StateSequence:
@@ -366,8 +368,8 @@ class StateSequence:
     Each query asks exactly one level source, which decides how a level is
     held: a ``generator`` (`_Source`, which passes through as itself), or
     ``factors``, probability vectors (`_Blocks`) or dense matrices
-    (`_DenseBlocks`).  Levels, spectra and histograms are memoised, so each
-    level is decomposed at most once.  Access is thread-safe.
+    (`_DenseBlocks`).  Levels, eigensystems, eigenvalues and histograms are
+    memoised, so each level is decomposed at most once.  Access is thread-safe.
     """
 
     def __init__(
@@ -398,6 +400,7 @@ class StateSequence:
             self._source = generator if isinstance(generator, _Source) else _Source(generator)
         self._cache: dict[int, DensityOperator] = {}
         self._spectra: dict[int, Spectrum] = {}
+        self._values: dict[int, np.ndarray] = {}
         self._histograms: dict[int, SpectrumHistogram | None] = {}
         self._lock = threading.Lock()
 
@@ -426,17 +429,13 @@ class StateSequence:
         return self._source.has_factors
 
     @property
-    def has_diag_factors(self) -> bool:
-        return self._source.has_diag_factors
-
-    @property
     def top_k_error(self) -> float:
         """Absolute error bound on `top_k_mass`: nonzero only for closed-form masses."""
         return self._source.top_k_error
 
     @property
     def level_cap(self) -> int:
-        """Deepest level that `density`, `eigensystem` or an emitted test term can reach."""
+        """Deepest level that `density`, `eigensystem`, `spectrum` or an emitted term can reach."""
         return self._source.level_cap
 
     def diag_factors(self, n: int) -> list[np.ndarray]:
@@ -449,11 +448,12 @@ class StateSequence:
         return self._memo(self._spectra, n, lambda: self._source.eigensystem(self, n))
 
     def spectrum(self, n: int) -> np.ndarray:
-        """Descending eigenvalues of level n (materialised or dense-block levels only)."""
-        return self.eigensystem(n).eigenvalues
+        """Memoised descending eigenvalues of level n, up to `level_cap`."""
+        self._check_depth(n)
+        return self._memo(self._values, n, lambda: self._source.spectrum(self, n))
 
     def histogram(self, n: int) -> SpectrumHistogram | None:
-        """Memoised spectrum histogram of level n, or None: `top_k_mass` then sorts eigenvalues."""
+        """Memoised spectrum histogram of level n, or None: `top_k_mass` then reads `spectrum`."""
         self._check_depth(n)
         return self._memo(self._histograms, n, lambda: self._source.histogram(self, n))
 
@@ -519,15 +519,8 @@ def _check_scan(state: StateSequence, depth: int, *, top_k: bool = False) -> Non
         raise BadDimensionError(f"depth {depth} is below 1")
     if depth > state.max_depth:
         raise BadDimensionError(f"depth {depth} beyond max_depth {state.max_depth}")
-    source = state._source
-    cap = source.top_k_cap if top_k else source.entropy_cap
-    if depth > cap:
-        raise DimensionCapError(f"depth {depth} needs levels past {cap} qubits")
-    # past its level cap, a block source reads top-k masses off the level's histogram alone
-    if (top_k and source.has_factors and depth > source.level_cap
-            and state.histogram(depth) is None):
-        raise DimensionCapError(
-            f"depth {depth} has no spectrum histogram, and its levels are past {source.level_cap} qubits")
+    if depth > state.level_cap:  # the deepest query answers, or raises before holding a level
+        state.top_k_mass(depth, 1) if top_k else state.entropy(depth)
 
 
 def entropy_profile(state: StateSequence, depth: int) -> EntropyProfile:
@@ -888,7 +881,6 @@ def _log_power_top_k(p: float) -> Callable[[int, int], float]:
 class _ClosedForm(_Source):
     """Materialised levels with closed-form top-k masses, (n, k) -> mass, within `TOP_K_ERROR`."""
 
-    top_k_cap = CLOSED_FORM_QUBIT_CAP
     top_k_error = TOP_K_ERROR
 
     def __init__(self, generator: Callable, top_k: Callable[[int, int], float]):

@@ -148,7 +148,11 @@ def test_deep_profile_reads_one_mass_per_order():
         return closed_form(n, k)
 
     state = q.measure_state(dataclasses.replace(spec, _top_k=counting), depth)
-    profile = q.ui_profile(q.step_family(state, depth), deltas, depth)
+    family = q.step_family(state, depth)
+    # past the level cap, construction asks the scan's deepest query once
+    assert [n for n, _ in queries] == [depth]
+    queries.clear()
+    profile = q.ui_profile(family, deltas, depth)
     moduli = [e.modulus for e in profile.entries]
     assert moduli == _oracle_moduli(3, depth, deltas)
     assert queries == [(depth, m) for m in range(1, max(moduli) + 1)]

@@ -137,18 +137,16 @@ def test_dense_blocks_refuse_diagonal_ones_and_the_diagonal_paths():
             q.StateSequence("mixed", 3, factors=mixed)
     state = q.StateSequence("dense", 3, factors=[a.matrix] * 3)
     assert np.abs(state.density(2).matrix - np.kron(a.matrix, a.matrix)).max() <= 1e-16
-    with pytest.raises(BadDimensionError, match="no diagonal factored form"):
-        state.diag_factors(3)
+    [diagonal] = state.diag_factors(3)
+    assert np.array_equal(diagonal, state.density(3).diagonal_part())
+    deep = q.StateSequence("deep", 13, factors=[a.matrix] * 13)
+    with pytest.raises(DimensionCapError, match="past the dense cap 12"):
+        deep.diag_factors(13)
 
 
-def test_state_weight_skips_the_diagonal_path_for_dense_blocks_up_front(monkeypatch):
+def test_state_weight_skips_the_diagonal_path_for_dense_blocks_up_front():
     factor = random_density_oracle(np.random.default_rng(16), 2)
     state = q.tensor_power_state(factor, 6)
-
-    def refuse(n):
-        raise AssertionError("diag_factors was asked for a dense power")
-
-    monkeypatch.setattr(state, "diag_factors", refuse)
     g = q.Projection.from_basis(5, [0, 3, 17])
     assert q.state_weight(state, 5, g) == q.projection_weight(state.density(5), g)
     blocks = q.Projection.from_factors([(2, [1]), (3, [0, 5])])
@@ -207,13 +205,14 @@ def test_step_family_refuses_a_depth_with_no_histogram_past_the_level_cap():
     state = q.tensor_power_state(factor, 300)
     assert q.step_family(state, 130).depth == 130
     assert state.histogram(140) is None
-    with pytest.raises(DimensionCapError, match="depth 140 has no spectrum histogram.*past 12 qubits"):
+    with pytest.raises(DimensionCapError, match="cannot materialise 140 qubits past the dense cap 12"):
         q.step_family(state, 140)
     many = q.StateSequence("many", 40, factors=[np.random.default_rng(20).dirichlet(np.ones(16))] * 10)
     assert q.step_family(many, 24).depth == 24
-    with pytest.raises(DimensionCapError, match="depth 25 has no spectrum histogram.*past 24 qubits"):
+    with pytest.raises(DimensionCapError, match="cannot materialise 25 qubits past the diagonal cap 24"):
         q.step_family(many, 25)
-    assert not state._cache and not state._spectra and not many._cache
+    assert not state._cache and not state._spectra and not state._values
+    assert not many._cache and not many._values
 
 
 def _held_blocks(kind: str, depth: int) -> tuple[q.StateSequence, list[np.ndarray]]:
@@ -249,3 +248,21 @@ def test_dense_power_entropy_at_the_block_cap_is_within_the_sum_bound():
     assert abs(Fraction(state.entropy(n)) - n // 2 * h) <= Fraction(n, 2**53) * (n // 2) * h
     with pytest.raises(DimensionCapError, match="past the block cap 8589934592"):
         q.tensor_power_state(factor, n + 1)
+
+
+def test_dense_power_spectrum_builds_no_eigenvectors():
+    # the sorted eigenvalues alone, bitwise the eigensystem's, in a table of their own
+    factor = random_density_oracle(np.random.default_rng(43), 3)
+    state = q.tensor_power_state(factor, 12)
+    for n in (8, 9, 10):
+        values = state.spectrum(n)
+        assert n not in state._spectra
+        assert values.tobytes() == state.eigensystem(n).eigenvalues.tobytes(), n
+    tracemalloc.start()
+    try:
+        values = state.spectrum(12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6 and 12 not in state._spectra, peak
+    assert values.size == 1 << 12 and values.sum() == pytest.approx(1.0, abs=1e-12)

@@ -412,3 +412,20 @@ def test_shannon_entropy_bitwise_and_one_temporary():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * masses.nbytes, peak / masses.nbytes
+
+
+def test_many_small_negative_eigenvalues_validate_and_decompose():
+    # 1,500 eigenvalues at -0.9e-9 each pass the floor, and clipping them moves the sum
+    # by 1.35e-6, past EIG_SUM_TOL; the sum rule reads the trace, before the clip
+    w = np.full(2048, -0.9e-9)
+    w[1500:] = (1.0 + 1500 * 0.9e-9) / 548
+    d = q.validate_density(np.diag(w).astype(complex), 1e-8)
+    spec = q.eigendecompose(d)
+    assert spec.eigenvalues.min() >= 0.0 and spec.eigenvalues.sum() == pytest.approx(1.0, abs=1e-12)
+    assert q.von_neumann_entropy(d) == pytest.approx(math.log2(548), abs=1e-12)
+
+
+def test_a_trace_tolerance_past_the_sum_rule_is_capped():
+    # tol = 1e-3 once let a trace of 1.0005 through, for `eigendecompose` to refuse
+    with pytest.raises(WrongTraceError, match="trace is 1.0005"):
+        q.validate_density(np.diag([0.5005, 0.5]).astype(complex), 1e-3)

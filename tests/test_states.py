@@ -574,3 +574,20 @@ def test_cylinder_masses_peak_memory_at_depth_20():
         tracemalloc.stop()
     assert masses.size == 1 << 20
     assert peak <= 2.5 * masses.nbytes, peak / masses.nbytes
+
+
+def test_a_scan_past_the_level_cap_never_asks_the_generator():
+    # the one cap, level_cap, refuses before a hand-written generator is called
+    tracial = q.tracial_state(24)
+
+    def level(n):
+        if n > 24:
+            raise AssertionError(f"the generator was asked for {n} qubits")
+        return tracial.density(n)
+
+    state = q.StateSequence("hand", 40, level)
+    assert state.level_cap == 24
+    for scan in (q.entropy_profile, q.step_family):
+        with pytest.raises(DimensionCapError, match="cannot materialise 30 qubits past the diagonal cap 24"):
+            scan(state, 30)
+    assert not state._cache and not state._spectra and not state._values

@@ -13,7 +13,7 @@ import qubitlab as q
 from qubitlab.dyadic import rank_ceil, rank_floor
 from qubitlab.linalg import DimensionCapError, SpectrumHistogram
 from qubitlab.serialize import state_to_json
-from qubitlab.states import _power_histogram, _summarise
+from qubitlab.states import BLOCK_QUBIT_CAP, _power_histogram, _summarise
 
 from conftest import binomial_top_sum_oracle
 
@@ -247,3 +247,24 @@ def test_summaries_are_dropped_with_their_factors():
     profile = q.entropy_profile(state, 80)
     assert profile.entries[-1][1] == pytest.approx(80 * want, rel=1e-12)
     assert state.top_k_mass(12, 1) == q.top_k_sum(state.eigensystem(12), 1)
+
+
+def test_a_deep_one_valued_level_answers_in_constant_time_and_memory():
+    # the level's one eigenvalue 1.0 has multiplicity 1: no query forms 2^n
+    import tracemalloc
+
+    n = BLOCK_QUBIT_CAP
+    queries = (lambda s: q.step_family(s, n).depth, lambda s: s.top_k_mass(n, 1), lambda s: s.entropy(n))
+    answers = []
+    for query in queries:
+        state = _diag_power([1.0, 0.0], n)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            answers.append(query(state))
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.1 and peak < 1e6, (elapsed, peak)
+    assert answers == [n, 1.0, 0.0]
