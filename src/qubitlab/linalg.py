@@ -89,7 +89,8 @@ def _index_set(indices, qubits: int, what: str) -> np.ndarray:
             raise MalformedOperatorError(f"non-integral {what}")
     if a.size and (a.min() < 0 or a.max() >= (1 << qubits)):
         raise BadDimensionError(f"{what} out of range")
-    return np.unique(a.astype(np.int64))
+    a = np.sort(a.astype(np.int64))
+    return a[np.diff(a, prepend=-1) != 0]  # the first of each run; bare np.unique loads numpy.ma
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -334,7 +335,7 @@ def eigendecompose(d: DensityOperator) -> Spectrum:
     Eigenvalues are clipped to [0, 1] and renormalised; the descending
     order breaks ties by ascending original index (eigh output order for
     dense operators, computational-basis order for diagonal ones; a level
-    of dense blocks, in `StateSequence.eigensystem`, uses product-basis order).
+    of blocks, in `StateSequence.eigensystem`, uses product-basis order).
     """
     if d.is_diagonal:
         w = _clean_eigenvalues(d.probs.astype(float))

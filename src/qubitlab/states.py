@@ -53,17 +53,26 @@ class SourceExhaustedError(ValueError):
     """Bit source ran out before the requested depth."""
 
 
-@dataclass(frozen=True)
-class _FactorSummary:
-    """A diagonal factor's distinct positive entries (descending) and their counts."""
+class _Block:
+    """One distinct validated block of a block source, or a traced tail of one: all a level reads.
 
-    values: tuple[float, ...]
-    counts: tuple[int, ...]
+    A dense block is decomposed once, into ``values`` and eigen``vectors``; a diagonal one has
+    no vectors and is its own spectrum, in basis order.  ``distinct`` and ``counts`` are its
+    type summary, the distinct positive values, descending, and how often each occurs.  Given
+    ``trace``, ``traced[c - 1]`` is the record of the block with its last c qubits traced out.
+    """
 
-
-def _summarise(f: np.ndarray) -> _FactorSummary:
-    vals, counts = np.unique(f[f > 0.0], return_counts=True)
-    return _FactorSummary(tuple(vals[::-1].tolist()), tuple(counts[::-1].tolist()))
+    def __init__(self, array: np.ndarray, trace: Callable | None = None):
+        self.array, self.qubits = array, qubit_count(len(array))
+        s = eigendecompose(DensityOperator(self.qubits, array)) if array.ndim == 2 else None
+        self.values, self.vectors = (array, None) if s is None else (s.eigenvalues, s.eigenvectors)
+        self.entropy, self.sup = _entropy_bits(self.values), _max_abs(array)
+        pos = np.sort(self.values[self.values > 0.0])[::-1]
+        first = np.flatnonzero(np.diff(pos, prepend=np.inf))  # the first of each run of equals
+        self.distinct = tuple(pos[first].tolist())
+        self.counts = tuple(np.diff(first, append=pos.size).tolist())
+        tails = range(1, self.qubits) if trace else ()
+        self.traced = tuple(_Block(_readonly(trace(array, c))) for c in tails)
 
 
 def _types(copies: int, parts: int):
@@ -76,16 +85,16 @@ def _types(copies: int, parts: int):
         yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 
 
-def _power_histogram(s: _FactorSummary, copies: int) -> dict[float, int]:
-    """Eigenvalue -> multiplicity of ``copies`` copies of one factor, by type class.
+def _power_histogram(s: _Block, copies: int) -> dict[float, int]:
+    """Eigenvalue -> multiplicity of ``copies`` copies of one block, by type class.
 
     The type taking the i-th distinct value j_i times has the value
     prod v_i^j_i, always computed by this one expression so equal types
     give equal floats, and multiplicity multinomial(copies; j) prod c_i^j_i.
     """
     out: dict[float, int] = {}
-    for js in _types(copies, len(s.values)):
-        v = math.prod(x**j for x, j in zip(s.values, js))
+    for js in _types(copies, len(s.distinct)):
+        v = math.prod(x**j for x, j in zip(s.distinct, js))
         mult, left = 1, copies
         for j, c in zip(js, s.counts):
             mult *= math.comb(left, j) * c**j
@@ -94,8 +103,8 @@ def _power_histogram(s: _FactorSummary, copies: int) -> dict[float, int]:
     return out
 
 
-def _level_histogram(n: int, parts: list[tuple[_FactorSummary, int]]) -> SpectrumHistogram | None:
-    """Histogram of an n-qubit product of (factor summary, copies) parts.
+def _level_histogram(n: int, parts: list[tuple[_Block, int]]) -> SpectrumHistogram | None:
+    """Histogram of an n-qubit product of (block, copies) parts.
 
     A part with c copies of an r-valued factor has t = C(c + r - 1, r - 1)
     types, each valued with r products, and merging multiplies the type
@@ -108,9 +117,9 @@ def _level_histogram(n: int, parts: list[tuple[_FactorSummary, int]]) -> Spectru
     leaves a level past its level cap with costly types to raise
     DimensionCapError.
     """
-    types = [math.comb(c + len(s.values) - 1, c) for s, c in parts]
+    types = [math.comb(c + len(s.distinct) - 1, c) for s, c in parts]
     size = math.prod(types)
-    work = sum(t * len(s.values) for t, (s, _) in zip(types, parts)) + len(parts) * size
+    work = sum(t * len(s.distinct) for t, (s, _) in zip(types, parts)) + len(parts) * size
     if size.bit_length() > n or work > 1 << (min(max(n, 12), DIAG_QUBIT_CAP - 3) - 3):
         return None
     acc = {1.0: 1}
@@ -206,16 +215,16 @@ class _Source:
 class _Blocks(_Source):
     """Runs (block, copies) of probability vectors, each on a qubit or more, through ``max_depth``.
 
-    Each distinct block object is validated once and held as a read-only
-    copy, so writes to the caller's arrays reach no level; its traces, and
-    every held array's eigenvalues, entropy and sup, are computed once too.
-    Level n is the prefix: the kron of the blocks that end by qubit n,
-    times the next block traced down to fit, so levels are coherent by
-    construction.  Entropy is the head sum, folded a run at a time (see
-    `_fold`), at any depth up to `BLOCK_QUBIT_CAP`.  A level's spectrum is
-    the product of its blocks', so by the method of types it is an exact
-    histogram, usually far shorter than 2^n, which gives top-k masses
-    until the eigenvalues underflow (2^-n does past 1,074 qubits).
+    Each distinct block object is validated once, held as a read-only copy
+    (so writes to the caller's arrays reach no level) in one `_Block` record
+    with its traced tails.  Level n is the prefix: the kron of the blocks
+    that end by qubit n, times the next block traced down to fit, so levels
+    are coherent by construction.  Entropy is the head sum, folded a run at
+    a time (see `_fold`), at any depth up to `BLOCK_QUBIT_CAP`.  A level's
+    spectrum is the product of its blocks', so no level is decomposed: its
+    eigensystem is their stable-sorted product, and by the method of types
+    an exact histogram, usually far shorter than 2^n, which gives top-k
+    masses until the eigenvalues underflow (2^-n does past 1,074 qubits).
     """
 
     has_factors = True
@@ -225,47 +234,38 @@ class _Blocks(_Source):
         if max_depth > BLOCK_QUBIT_CAP:
             raise DimensionCapError(
                 f"{name!r} has max_depth {max_depth}, past the block cap {BLOCK_QUBIT_CAP}")
-        runs = [(f, c) for f, c in runs if c > 0]  # holds every block, so no id is reused below
-        arrays = self._validate({id(f): f for f, _ in runs})
-        self._runs = [(arrays[id(f)], c) for f, c in runs]
-        # every array in these tables is held, so their ids stay
-        self._traced = {(id(a), c): _readonly(self._trace(a, c))
-                        for a in arrays.values() for c in range(1, qubit_count(len(a)))}
-        self._values = self._eigenvalues([*arrays.values(), *self._traced.values()])
-        self._entropy = {i: _entropy_bits(v) for i, v in self._values.items()}
-        self._sup = {id(a): _max_abs(a) for a in arrays.values()}
-        qubits = {id(a): qubit_count(len(a)) for a in arrays.values()}
-        self._ends = list(itertools.accumulate(qubits[id(a)] * c for a, c in self._runs))
+        runs = [(f, c) for f, c in runs if c > 0]
+        held = {id(f): f for f, _ in runs}  # `runs` holds every block, so no id is reused here
+        records = {i: _Block(self._validate(f), self._trace) for i, f in held.items()}
+        self._runs = [(records[id(f)], c) for f, c in runs]
+        self._ends = list(itertools.accumulate(b.qubits * c for b, c in self._runs))
         # a max_depth below 1 passes here, for `StateSequence` to refuse
-        if min(qubits.values(), default=1) < 1 or (self._ends or [0])[-1] < max_depth:
+        if any(b.qubits < 1 for b in records.values()) or (self._ends or [0])[-1] < max_depth:
             raise BadDimensionError(
                 f"{name!r} needs blocks of one qubit or more through qubit {max_depth}")
         # _folded[r]: the entropies of runs [:r] added left to right from 0.0, then the
         # last (copies, sum) an entropy query folded run r on to
-        entropies = [(self._entropy[id(a)], c) for a, c in self._runs[:-1]]
+        entropies = [(b.entropy, c) for b, c in self._runs[:-1]]
         heads = itertools.accumulate(entropies, lambda s, run: _fold(s, *run), initial=0.0)
         self._folded = [(s, 0, s) for s in heads]
 
-    def _validate(self, blocks: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-        return {i: DensityOperator.diagonal(f).probs for i, f in blocks.items()}
+    def _validate(self, f: np.ndarray) -> np.ndarray:
+        return DensityOperator.diagonal(f).probs
 
-    def _eigenvalues(self, held: list[np.ndarray]) -> dict[int, np.ndarray]:
-        return {id(a): a for a in held}
-
-    def _level(self, n: int) -> tuple[int, int, np.ndarray]:
+    def _level(self, n: int) -> tuple[int, int, _Block]:
         """Level n as (r, j, last): runs [:r], then j blocks of run r, end by qubit n; last is
         the next block traced to fit."""
         r = bisect.bisect_left(self._ends, n)
-        f, c = self._runs[r]
+        b, c = self._runs[r]
         # qubits past n in run r: whole blocks after the last one, and the cut off it
-        after, cut = divmod(self._ends[r] - n, len(f).bit_length() - 1)
-        return r, c - 1 - after, self._traced[id(f), cut] if cut else f
+        after, cut = divmod(self._ends[r] - n, b.qubits)
+        return r, c - 1 - after, b.traced[cut - 1] if cut else b
 
-    def _head(self, r: int, j: int) -> Iterable[tuple[np.ndarray, int]]:
+    def _head(self, r: int, j: int) -> Iterable[tuple[_Block, int]]:
         """The runs of the whole blocks before block j of run r."""
         return itertools.chain(itertools.islice(self._runs, r), [(self._runs[r][0], j)] if j else ())
 
-    def _parts(self, n: int) -> list[np.ndarray]:
+    def _parts(self, n: int) -> list[_Block]:
         """The blocks of level n, the last one traced to fit."""
         r, j, last = self._level(n)
         head = itertools.starmap(itertools.repeat, self._head(r, j))
@@ -274,25 +274,47 @@ class _Blocks(_Source):
     def density(self, state: StateSequence, n: int) -> DensityOperator:
         self._refuse_past_cap(n)
         # the blocks are validated copies, so their product needs no check
-        out = _readonly(functools.reduce(np.kron, self._parts(n)))
+        out = _readonly(functools.reduce(np.kron, [b.array for b in self._parts(n)]))
         return DensityOperator(n, **{self._form: out})
+
+    def _sorted_values(self, n: int) -> tuple[list[_Block], np.ndarray, np.ndarray]:
+        """Level n's blocks, the stable-sorted kron of their eigenvalues, and its sorting order."""
+        self._refuse_past_cap(n)
+        parts = self._parts(n)
+        w = functools.reduce(np.kron, [b.values for b in parts])
+        order = np.argsort(-w, kind="stable")
+        return parts, _readonly(w[order]), order
+
+    def eigensystem(self, state: StateSequence, n: int) -> Spectrum:
+        """The sorted product of the blocks' spectra, with basis labels or product eigenvectors."""
+        parts, w, order = self._sorted_values(n)
+        if parts[0].vectors is None:
+            return Spectrum(eigenvalues=w, basis_labels=_readonly(order))
+        v = functools.reduce(np.kron, [b.vectors for b in parts])
+        return Spectrum(eigenvalues=w, eigenvectors=_readonly(v[:, order]))
+
+    def spectrum(self, state: StateSequence, n: int) -> np.ndarray:
+        """The sorted eigenvalues alone: eigenvectors or labels wait for a projector."""
+        return self._sorted_values(n)[1]
 
     def histogram(self, state: StateSequence, n: int) -> SpectrumHistogram | None:
         """Each distinct block's type classes, multiplied, or None (see `_level_histogram`).
 
-        Underflowing values are lost, so a total that misses 1 by more than `TOP_K_ERROR` raises,
-        at once if the largest value, multiplied as in `_level_histogram`, underflows to 0.
+        Underflowing values are lost, so a total that misses the level's whole mass (each part's
+        total raised to its copies) by more than `TOP_K_ERROR` raises, at once if the largest
+        value, multiplied as in `_level_histogram`, underflows to 0.
         """
         r, j, last = self._level(n)
-        copies: dict[int, int] = {}  # in the order the blocks first appear
-        for f, c in itertools.chain(self._head(r, j), [(last, 1)]):
-            copies[id(f)] = copies.get(id(f), 0) + c
-        parts = [(_summarise(self._values[a]), c) for a, c in copies.items()]
-        top = math.prod(s.values[0] ** c for s, c in parts)
+        copies: dict[_Block, int] = {}  # in the order the blocks first appear
+        for b, c in itertools.chain(self._head(r, j), [(last, 1)]):
+            copies[b] = copies.get(b, 0) + c
+        parts = list(copies.items())
+        top = math.prod(b.distinct[0] ** c for b, c in parts)
         hist = _level_histogram(n, parts) if top else None
         if hist is not None or not top:
             mass = top and top_k_sum(hist, sum(hist.multiplicities))
-            if not abs(mass - 1.0) <= TOP_K_ERROR:
+            whole = math.prod(math.fsum(b.values) ** c for b, c in parts)
+            if not abs(mass - whole) <= TOP_K_ERROR:
                 raise DimensionCapError(
                     f"level {n} keeps mass {mass!r} in floats: its eigenvalues underflow")
         return hist
@@ -304,62 +326,35 @@ class _Blocks(_Source):
         head, k, s = self._folded[r]
         if j < k:
             k, s = 0, head
-        s = _fold(s, self._entropy[id(self._runs[r][0])], j - k)
+        s = _fold(s, self._runs[r][0].entropy, j - k)
         self._folded[r] = head, j, s
-        return s + self._entropy[id(last)]
+        return s + last.entropy
 
     def deviation(self, state: StateSequence, n: int) -> float:
         """sup(head) times g, as levels n and n-1 share all blocks but the last."""
         r, j, last = self._level(n)
         # g is |tr(last) - 1| for a one-qubit last block, else sup|tr_1(last) - last'|
-        g = _max_abs(self._trace(last) - (1.0 if len(last) == 2 else self._level(n - 1)[2]))
-        for f, c in self._head(r, j):
+        below = 1.0 if last.qubits == 1 else self._level(n - 1)[2].array
+        g = _max_abs(self._trace(last.array) - below)
+        for b, c in self._head(r, j):
             # math.prod's left-to-right product, a run at a time, until a factor stops moving it
-            x = self._sup[id(f)]
-            while c and (p := g * x) != g:
+            while c and (p := g * b.sup) != g:
                 g, c = p, c - 1
         return g
 
     def diag_factors(self, state: StateSequence, n: int) -> list[np.ndarray]:
-        return self._parts(n)
+        return [b.array for b in self._parts(n)]
 
 
 class _DenseBlocks(_Blocks):
-    """Dense density-matrix blocks, to the block cap; only levels held whole stop at the dense cap.
-
-    Each block and trace is decomposed once, and level n's eigensystem is
-    the stable-sorted kron of its blocks', memoised as long as the state;
-    it, its eigenvalues and the density refuse past `DENSE_QUBIT_CAP`; the blocks answer the rest.
-    """
+    """Dense density-matrix blocks, to the block cap; levels held whole stop at `DENSE_QUBIT_CAP`."""
 
     level_cap = DENSE_QUBIT_CAP
     _trace, _form, _kind = staticmethod(_pt_dense), "matrix", "dense"
     diag_factors = _Source.diag_factors
 
-    def _validate(self, blocks: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-        return {i: validate_density(np.array(f, dtype=complex), 1e-8).matrix
-                for i, f in blocks.items()}
-
-    def _eigenvalues(self, held: list[np.ndarray]) -> dict[int, np.ndarray]:
-        self._eigen = {id(a): eigendecompose(DensityOperator(qubit_count(len(a)), a)) for a in held}
-        return {i: s.eigenvalues for i, s in self._eigen.items()}
-
-    def _sorted_values(self, n: int) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-        """Level n's blocks, the stable-sorted kron of their eigenvalues, and its sorting order."""
-        self._refuse_past_cap(n)
-        parts = self._parts(n)
-        w = functools.reduce(np.kron, [self._values[id(a)] for a in parts])
-        order = np.argsort(-w, kind="stable")
-        return parts, _readonly(w[order]), order
-
-    def eigensystem(self, state: StateSequence, n: int) -> Spectrum:
-        parts, w, order = self._sorted_values(n)
-        v = functools.reduce(np.kron, [self._eigen[id(a)].eigenvectors for a in parts])
-        return Spectrum(eigenvalues=w, eigenvectors=_readonly(v[:, order]))
-
-    def spectrum(self, state: StateSequence, n: int) -> np.ndarray:
-        """The sorted eigenvalues alone: eigenvectors wait for a projector."""
-        return self._sorted_values(n)[1]
+    def _validate(self, f: np.ndarray) -> np.ndarray:
+        return validate_density(np.array(f, dtype=complex), 1e-8).matrix
 
 
 class StateSequence:

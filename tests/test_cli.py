@@ -432,3 +432,21 @@ def test_reproduce_fstate_finite_skips_scipy_integrate(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "gap_above_limit gap=" in proc.stdout and "limit=-0.278652" in proc.stdout
+
+
+def test_block_bundle_and_basis_tests_skip_numpy_ma(tmp_path):
+    # index sets are deduplicated without a bare np.unique, which loads numpy.ma
+    test, out = str(tmp_path / "t.json"), str(tmp_path / "e.csv")
+    code = (
+        "import sys\n"
+        "from qubitlab.cli import main\n"
+        f"assert main(['reproduce', 'block', '--out', {str(tmp_path)!r}]) == 0\n"
+        f"assert main(['build-test', '--kind', 'deficiency', '--state', 'builtin:pure',"
+        f" '--out', {test!r}]) == 0\n"
+        f"assert main(['evaluate', '--state', 'builtin:pure', '--test', {test!r},"
+        f" '--out', {out!r}]) == 0\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

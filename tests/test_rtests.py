@@ -7,7 +7,7 @@ import pytest
 
 import qubitlab as q
 from qubitlab.linalg import BadDimensionError, DimensionCapError
-from qubitlab.serialize import projection_test_from_json
+from qubitlab.serialize import projection_test_from_json, projection_test_to_json
 
 from conftest import binomial_top_sum_oracle, builder_plan_oracle
 
@@ -67,6 +67,21 @@ def test_block_state_test_is_the_checkpoint_support_at_deep_orders():
         assert q.state_weight(q.block_state(term.qubits), term.qubits, term.projector) == 1.0
     top = seq.seq.terms[-1]
     assert q.state_weight(q.tracial_state(495), 495, top.projector) == 2.0**-30
+
+
+def test_a_deep_block_test_validates_each_distinct_block_once():
+    # 99,680 one-qubit blocks of two contents: one index set each, shared by every copy
+    start = time.perf_counter()
+    term = q.block_state_test(445)
+    elapsed = time.perf_counter() - start
+    n = q.block_checkpoint(445)
+    marks = {q.block_checkpoint(i) for i in range(445)}
+    want = q.Projection.from_factors([(1, [0] if j in marks else [0, 1]) for j in range(n)])
+    assert term.projector == want
+    assert projection_test_to_json(q.QSTest(q.ProjectionSequence((term,)))) == \
+        projection_test_to_json(q.QSTest(q.ProjectionSequence((q.TestTerm(445, want),))))
+    assert all(idx.dtype == np.int64 and not idx.flags.writeable for _, idx in term.projector.factors)
+    assert elapsed < 0.4, elapsed
 
 
 def test_projection_sequence_refuses_bad_terms():

@@ -1,5 +1,6 @@
 """Spectrum histograms of factored levels, and builders that materialise only what they emit."""
 
+import functools
 import math
 import sys
 import time
@@ -13,7 +14,7 @@ import qubitlab as q
 from qubitlab.dyadic import rank_ceil, rank_floor
 from qubitlab.linalg import DimensionCapError, SpectrumHistogram
 from qubitlab.serialize import state_to_json
-from qubitlab.states import BLOCK_QUBIT_CAP, _power_histogram, _summarise
+from qubitlab.states import BLOCK_QUBIT_CAP, _Block, _power_histogram
 
 from conftest import binomial_top_sum_oracle
 
@@ -47,7 +48,7 @@ def test_histogram_top_k_matches_materialised_spectrum(key):
         assert hist is state.histogram(n)
         if n >= 4:
             assert isinstance(hist, SpectrumHistogram), n
-        spec = state.eigensystem(n)
+        spec = q.eigendecompose(state.density(n))
         if hist is not None:
             assert hist.qubits == n
             assert list(hist.values) == sorted(hist.values, reverse=True)
@@ -61,6 +62,59 @@ def test_histogram_top_k_matches_materialised_spectrum(key):
                 assert abs(q.top_k_sum(hist, k) - want) <= 1e-12, (n, k)
 
 
+def _dense_two_qubit_factor():
+    rng = np.random.default_rng(29)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    return q.DensityOperator.dense(g @ g.conj().T / np.trace(g @ g.conj().T).real)
+
+
+#: (state maker, deepest depth checked against a decomposed level): a dense level's eigh
+#: costs 1.5 s at 10 qubits and about 40 s at 12
+BLOCK_SOURCES = {
+    "tracial": (lambda d: q.tracial_state(d), 12),
+    "pure": (lambda d: q.pure_bitstring_state(q.prng_bits(d, seed=5), d), 12),
+    "block": (lambda d: q.block_state(d), 12),
+    "power-0.9": (lambda d: _diag_power([0.9, 0.1], d), 12),
+    "power-3-valued": (lambda d: _diag_power([0.5, 0.2, 0.2, 0.1], d), 12),
+    "dense-power": (lambda d: q.tensor_power_state(_dense_two_qubit_factor(), d), 10),
+}
+
+
+@pytest.mark.parametrize("key", sorted(BLOCK_SOURCES))
+def test_block_levels_are_never_built_to_be_decomposed(key):
+    make, depth = BLOCK_SOURCES[key]
+    state, twin = make(12), make(12)
+    for n in range(1, depth + 1):
+        want = q.eigendecompose(twin.density(n))
+        assert np.abs(state.spectrum(n) - want.eigenvalues).max() <= 1e-14, n
+        spec = state.eigensystem(n)
+        for k in sorted({1, 2, 1 << (n // 2), (1 << n) - 1, 1 << n} - {0}):
+            got, ref = q.top_k_projector(spec, k), q.top_k_projector(want, k)
+            if ref.matrix is None:
+                assert got == ref, (n, k)
+            elif k == 1 << n or want.eigenvalues[k - 1] - want.eigenvalues[k] > 1e-6:
+                # a k inside a (near-)degenerate eigenspace has no one projector; past a gap g
+                # the eigh's rounding moves it by about 1e-16 dim / g (Davis-Kahan)
+                assert np.abs(got.matrix - ref.matrix).max() <= 1e-8, (n, k)
+    q.entropy_profile(state, 12)
+    q.ui_profile(q.step_family(state, 12), [0.5, 0.25, 0.1], 12)
+    q.build_ui_test(state, "1/2", 4, 8)
+    q.build_entropy_deficiency_test(state, "1/2", "1/2", 4, 8)
+    assert not state._cache
+
+
+def test_a_block_that_misses_sum_one_within_tolerance_answers_top_k():
+    # validation allows a sum 1 + 5e-9; the kept mass is then (1 + 5e-9)^n, not 1
+    f = np.array([0.6, 0.4 + 5e-9])
+    state = q.StateSequence("near-one", 8, factors=[f] * 8)
+    for n in range(1, 9):
+        want = np.cumsum(np.sort(functools.reduce(np.kron, [f] * n))[::-1])
+        for k in range(1, (1 << n) + 1):
+            assert abs(state.top_k_mass(n, k) - want[k - 1]) <= 1e-12, (n, k)
+    profile = q.ui_profile(q.step_family(state, 8), [0.5, 0.25, 0.1], 8)
+    assert len(profile.entries) == 3 and not state._cache
+
+
 @pytest.mark.parametrize("p0", [0.9, 0.6])
 def test_power_histogram_matches_binomial_oracle_to_depth_200(p0):
     state = _diag_power([p0, 1.0 - p0], 200)
@@ -72,14 +126,16 @@ def test_power_histogram_matches_binomial_oracle_to_depth_200(p0):
         for k in sorted(ks):
             want = binomial_top_sum_oracle(p0, 1.0 - p0, n, k)
             assert abs(state.top_k_mass(n, k) - want) <= 1e-12, (n, k)
-    assert set(state._cache) == set(state._spectra) == {1}
+    # no level is built: level 1 reads its sorted block values alone
+    assert not state._cache and not state._spectra and set(state._values) == {1}
 
 
 def test_histogram_size_fallback_and_none_without_factors():
     # one copy of a 4-valued 2-qubit factor has 4 = 2^2 entries: no saving
     power = _diag_power([0.4, 0.3, 0.2, 0.1], 4)
     assert power.histogram(2) is None
-    assert power.top_k_mass(2, 1) == q.top_k_sum(power.eigensystem(2), 1)
+    want = q.top_k_sum(q.eigendecompose(power.density(2)), 1)
+    assert abs(power.top_k_mass(2, 1) - want) <= 1e-15
     assert isinstance(power.histogram(4), SpectrumHistogram)
     measure = q.measure_state(q.log_power_density(2), 6)
     assert measure.histogram(6) is None
@@ -126,8 +182,9 @@ def test_ui_builder_on_block_materialises_only_emitted_levels():
     out = q.build_ui_test(state, "1/2", 6, 20)
     assert [t.qubits for t in out.test.seq.terms] == [1, 3, 6, 10, 15]
     assert out.exhausted == (6,)
-    assert set(state._cache) <= {1, 3, 6, 10, 15}
-    assert set(state._spectra) <= {1, 3, 6, 10, 15}
+    # each emitted term comes from its level's eigensystem, read off the blocks
+    assert not state._cache
+    assert set(state._spectra) == {1, 3, 6, 10, 15}
 
 
 def test_tracial_builders_exhaust_at_cap_200_without_materialising():
@@ -228,13 +285,14 @@ def test_factor_with_more_than_a_thousand_values():
     p = np.zeros(1 << 11)
     p[:1100] = np.linspace(1.0, 2.0, 1100)
     p /= p.sum()
-    summary = _summarise(p)
-    assert len(summary.values) == 1100
-    assert sum(_power_histogram(summary, 1).values()) == 1100
-    state = _diag_power(p, 22)
+    block = _Block(p)
+    assert len(block.distinct) == 1100
+    assert sum(_power_histogram(block, 1).values()) == 1100
+    state, twin = _diag_power(p, 22), _diag_power(p, 22)
     for n in (11, 12, 22):
-        assert state.top_k_mass(n, 7) == q.top_k_sum(state.eigensystem(n), 7)
-        del state._cache[n], state._spectra[n]
+        assert state.top_k_mass(n, 7) == q.top_k_sum(q.eigendecompose(twin.density(n)), 7)
+        del state._values[n], twin._cache[n]
+    assert not state._cache
 
 
 def test_summaries_are_dropped_with_their_factors():
@@ -246,7 +304,8 @@ def test_summaries_are_dropped_with_their_factors():
     want = q.shannon_entropy(np.array([0.7, 0.3]))
     profile = q.entropy_profile(state, 80)
     assert profile.entries[-1][1] == pytest.approx(80 * want, rel=1e-12)
-    assert state.top_k_mass(12, 1) == q.top_k_sum(state.eigensystem(12), 1)
+    want = q.top_k_sum(q.eigendecompose(state.density(12)), 1)
+    assert abs(state.top_k_mass(12, 1) - want) <= 1e-15
 
 
 def test_a_deep_one_valued_level_answers_in_constant_time_and_memory():
