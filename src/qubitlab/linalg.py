@@ -222,14 +222,18 @@ class Projection:
 
     @classmethod
     def from_factors(cls, factors) -> "Projection":
-        fs = []
+        fs, seen = [], {}  # one validated index set per distinct (qubits, content)
         for q, idx in factors:
             if q < 1:
                 raise BadDimensionError(f"a product block needs a qubit or more, got {q}")
-            arr = _index_set(idx, q, "factor index")
-            if arr.size == 0:
-                raise BadDimensionError("factor index out of range")
-            fs.append((int(q), _readonly(arr)))
+            a = np.asarray(idx)  # an object array's bytes are pointers: key it by its float values
+            key = (q, a.dtype, a.shape, (a.astype(float) if a.dtype.hasobject else a).tobytes())
+            if key not in seen:
+                arr = _index_set(a, q, "factor index")
+                if arr.size == 0:
+                    raise BadDimensionError("factor index out of range")
+                seen[key] = (int(q), _readonly(arr))
+            fs.append(seen[key])
         return cls(qubits=sum(q for q, _ in fs), factors=tuple(fs))
 
     @classmethod

@@ -405,12 +405,8 @@ def block_state_test(m: int) -> TestTerm:
     if m < 1:
         raise ValueError("m must be >= 1")
     n = block_checkpoint(m)
-    blocks, supports = [], {}  # one validated index set per distinct block content
-    for f in block_state(n).diag_factors(n):
-        if (key := f.tobytes()) not in supports:
-            supports[key] = Projection.from_factors([(1, np.flatnonzero(f))]).factors[0]
-        blocks.append(supports[key])
-    return TestTerm(m=m, projector=Projection(qubits=n, factors=tuple(blocks)))
+    blocks = ((1, f.nonzero()[0]) for f in block_state(n).diag_factors(n))
+    return TestTerm(m=m, projector=Projection.from_factors(blocks))
 
 
 def block_test_sequence(terms: int) -> QSTest:

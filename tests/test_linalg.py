@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -260,6 +261,19 @@ def test_from_factors_copies_each_block_as_it_is_yielded():
     g = q.Projection.from_factors(refilled())
     assert [idx.tolist() for _, idx in g.factors] == [[0], [1], [1], [0]]
     assert buf == [0] and not g.factors[0][1].flags.writeable
+
+
+def test_from_factors_validates_each_distinct_block_once():
+    # one block size, dtype and content: one index set; an equal one of another dtype is its own
+    g = q.Projection.from_factors([(1, [0]), (1, np.array([0], np.int8)), (2, [0]), (1, (0,)), (1, [1])])
+    (_, a), (_, b), (_, c), (_, d), (_, e) = g.factors
+    assert a is d and a is not b and a is not c and a is not e
+    assert [idx.tolist() for _, idx in g.factors] == [[0], [0], [0], [0], [1]]
+    # object arrays are told apart by value, not by the addresses of their entries
+    objects = q.Projection.from_factors(
+        (1, np.array([Fraction(b)], dtype=object)) for b in (0, 1, 1, 0))
+    assert [idx.tolist() for _, idx in objects.factors] == [[0], [1], [1], [0]]
+    assert objects.factors[0][1] is objects.factors[3][1]
 
 
 def test_factored_projection_expansion_matches_weight(rng):

@@ -1,3 +1,4 @@
+import json
 import math
 import time
 from fractions import Fraction
@@ -82,6 +83,17 @@ def test_a_deep_block_test_validates_each_distinct_block_once():
         projection_test_to_json(q.QSTest(q.ProjectionSequence((q.TestTerm(445, want),))))
     assert all(idx.dtype == np.int64 and not idx.flags.writeable for _, idx in term.projector.factors)
     assert elapsed < 0.4, elapsed
+
+
+def test_a_deep_block_test_loads_with_one_index_set_per_distinct_block():
+    # 176,750 one-qubit blocks over 100 terms, read back through Projection.from_factors
+    seq = q.block_test_sequence(100)
+    obj = json.loads(json.dumps(projection_test_to_json(seq)))
+    start = time.perf_counter()
+    back = projection_test_from_json(obj)
+    elapsed = time.perf_counter() - start
+    assert [t.projector for t in back.seq.terms] == [t.projector for t in seq.seq.terms]
+    assert elapsed < 1.0, elapsed
 
 
 def test_projection_sequence_refuses_bad_terms():

@@ -134,6 +134,7 @@ def test_histogram_size_fallback_and_none_without_factors():
     # one copy of a 4-valued 2-qubit factor has 4 = 2^2 entries: no saving
     power = _diag_power([0.4, 0.3, 0.2, 0.1], 4)
     assert power.histogram(2) is None
+    assert power.top_k_mass(2, 1) == q.top_k_sum(power.eigensystem(2), 1)
     want = q.top_k_sum(q.eigendecompose(power.density(2)), 1)
     assert abs(power.top_k_mass(2, 1) - want) <= 1e-15
     assert isinstance(power.histogram(4), SpectrumHistogram)
@@ -304,6 +305,7 @@ def test_summaries_are_dropped_with_their_factors():
     want = q.shannon_entropy(np.array([0.7, 0.3]))
     profile = q.entropy_profile(state, 80)
     assert profile.entries[-1][1] == pytest.approx(80 * want, rel=1e-12)
+    assert state.top_k_mass(12, 1) == q.top_k_sum(state.eigensystem(12), 1)
     want = q.top_k_sum(q.eigendecompose(state.density(12)), 1)
     assert abs(state.top_k_mass(12, 1) - want) <= 1e-15
 
