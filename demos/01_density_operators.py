@@ -52,5 +52,5 @@ for trial in range(3):
     print(f"  random rank-{k} projection: {w:.6f} <= {cap:.6f}")
 
 print("\nuniform weight of a projection is its normalised rank:")
-gproj = q.Projection.from_basis(3, [0, 4, 5])
+gproj = q.Projection.from_factors([(3, [0, 4, 5])])
 print("  tau of a rank-3 projection on 3 qubits:", q.tau_weight(gproj))

@@ -145,10 +145,8 @@ def cmd_build_test(args) -> int:
         )
     elif args.kind == "s":
         outcome = build_s_test(state, args.s, args.t, args.delta, args.terms, args.depth)
-    elif args.kind == "ui":
+    else:  # "ui", the last of the parser's choices
         outcome = build_ui_test(state, args.delta, args.terms, args.depth)
-    else:
-        raise ValueError(f"unknown builder kind {args.kind!r}")
     payload = projection_test_to_json(outcome.test)
     payload["build"] = {
         "kind": args.kind,
@@ -306,12 +304,7 @@ def _reproduce_fstate(outdir: Path, seed: int, power: float):
     if finite_entropy:
         limit = log_power_entropy_integral(power)
         checks.append(
-            (
-                "gap_above_limit",
-                gaps[-1] > limit,
-                f"gap={gaps[-1]:.6f} limit={limit:.6f}",
-            )
-        )
+            ("gap_above_limit", gaps[-1] > limit, f"gap={gaps[-1]:.6f} limit={limit:.6f}"))
     else:
         alpha0 = float(spec.cylinder_masses(1)[0])
         closed = 1.0 / (1.0 + math.log(2.0))

@@ -32,6 +32,7 @@ from .linalg import (
     BadDimensionError,
     DimensionCapError,
     _finite,
+    _floats,
     qubit_count,
     shannon_entropy,
 )
@@ -42,7 +43,7 @@ MASS_SLACK = 1e-12
 
 
 def _check_descending(alpha: np.ndarray) -> np.ndarray:
-    a = _finite(np.asarray(alpha, dtype=float), "probability")
+    a = _finite(_floats(alpha, "probability"), "probability")
     if a.ndim != 1:
         raise BadDimensionError("expected a 1-D probability vector")
     if a.size > 1 and np.min(a[:-1] - a[1:]) < -1e-12:
@@ -143,8 +144,7 @@ def uniformity_dominance(p, q) -> bool:
     and then H(q) >= H(p); that consequence is property-tested, not
     assumed, and does not hold for arbitrary orderings.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    p, q = _floats(p, "probability"), _floats(q, "probability")
     if p.shape != q.shape:
         raise BadDimensionError("vectors must have equal length")
     support = p > 0.0
@@ -257,7 +257,10 @@ def prefix_integral(fam: StepFamily, n: int, m: int) -> float:
 class UIEntry:
     delta: float
     modulus: int | None  # smallest m with sup_n prefix_integral(n, m) <= delta
-    epsilon: float | None  # 2^-modulus
+
+    @property
+    def epsilon(self) -> float | None:  # 2^-modulus
+        return None if self.modulus is None else 2.0**-self.modulus
 
     @property
     def found(self) -> bool:
@@ -316,15 +319,17 @@ def ui_profile(fam: StepFamily, deltas, depth: int) -> UIProfile:
                     f"sup of prefix integrals at m={m} is within {slack:g} of delta={delta:g}")
             if sup <= delta:
                 moduli[delta] = m
-    entries = (UIEntry(d, moduli.get(d), 2.0**-moduli[d] if d in moduli else None) for d in deltas)
-    return UIProfile(depth=depth, entries=tuple(entries))
+    return UIProfile(depth=depth, entries=tuple(UIEntry(d, moduli.get(d)) for d in deltas))
 
 
 def entropy_gap(spec: DensitySpec, n: int) -> float:
-    """Entropy of the depth-n cylinder masses minus the maximum n, in bits."""
-    masses = spec.cylinder_masses(n)
-    return shannon_entropy(masses) - n
+    """Entropy of the depth-n cylinder masses minus the maximum n, in bits; n >= 1."""
+    if n < 1:
+        raise BadDimensionError(f"depth {n} is below 1")
+    return shannon_entropy(spec.cylinder_masses(n)) - n
 
 
 def entropy_gap_curve(spec: DensitySpec, depth: int, start: int = 1) -> list[tuple[int, float]]:
+    if depth < start:
+        raise BadDimensionError(f"depth {depth} is below {start}")
     return [(n, entropy_gap(spec, n)) for n in range(start, depth + 1)]

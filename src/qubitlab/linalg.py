@@ -76,6 +76,14 @@ def _finite(a: np.ndarray, what: str, floor: float | None = None, negative=NotPo
     return a
 
 
+def _floats(x, what: str) -> np.ndarray:
+    """``x`` as a float array; a nonzero imaginary part raises MalformedOperatorError."""
+    a = np.asarray(x)
+    if a.dtype.kind == "c" and a.imag.any():
+        raise MalformedOperatorError(f"complex {what}")
+    return a.real.astype(float, copy=False)
+
+
 def _index_set(indices, qubits: int, what: str) -> np.ndarray:
     """Sorted distinct basis indices of a ``qubits``-qubit register.
 
@@ -84,7 +92,7 @@ def _index_set(indices, qubits: int, what: str) -> np.ndarray:
     """
     a = np.asarray(indices)
     if a.dtype.kind not in "iu":
-        a = _finite(a.astype(float), what)
+        a = _finite(_floats(a, what), what)
         if (a != np.floor(a)).any():
             raise MalformedOperatorError(f"non-integral {what}")
     if a.size and (a.min() < 0 or a.max() >= (1 << qubits)):
@@ -115,7 +123,7 @@ class DensityOperator:
         p = np.asarray(probs)
         if p.ndim != 1:
             raise BadDimensionError("diagonal form takes a 1-D probability vector")
-        p = p.astype(float, copy=False)
+        p = _floats(p, "probability")
         n = qubit_count(p.size)
         if n > DIAG_QUBIT_CAP:
             raise DimensionCapError(f"{n} qubits exceeds diagonal cap {DIAG_QUBIT_CAP}")
@@ -143,9 +151,7 @@ class DensityOperator:
         if self.matrix is not None:
             return self.matrix
         if self.qubits > DENSE_QUBIT_CAP:
-            raise DimensionCapError(
-                f"{self.qubits} qubits exceeds dense cap {DENSE_QUBIT_CAP}"
-            )
+            raise DimensionCapError(f"{self.qubits} qubits exceeds dense cap {DENSE_QUBIT_CAP}")
         return np.diag(self.probs.astype(complex))
 
 
@@ -216,11 +222,6 @@ class Projection:
         return cls(qubits=n, matrix=_readonly(m))
 
     @classmethod
-    def from_basis(cls, qubits: int, indices) -> "Projection":
-        idx = _index_set(indices, qubits, "basis index")
-        return cls(qubits=qubits, factors=((qubits, _readonly(idx)),))
-
-    @classmethod
     def from_factors(cls, factors) -> "Projection":
         fs, seen = [], {}  # one validated index set per distinct (qubits, content)
         for q, idx in factors:
@@ -229,11 +230,13 @@ class Projection:
             a = np.asarray(idx)  # an object array's bytes are pointers: key it by its float values
             key = (q, a.dtype, a.shape, (a.astype(float) if a.dtype.hasobject else a).tobytes())
             if key not in seen:
-                arr = _index_set(a, q, "factor index")
+                arr = _index_set(a, q, "basis index")
                 if arr.size == 0:
-                    raise BadDimensionError("factor index out of range")
+                    raise BadDimensionError("a product block needs a basis index or more")
                 seen[key] = (int(q), _readonly(arr))
             fs.append(seen[key])
+        if not fs:
+            raise BadDimensionError("a product needs a block or more")
         return cls(qubits=sum(q for q, _ in fs), factors=tuple(fs))
 
     @classmethod
@@ -355,7 +358,7 @@ def eigendecompose(d: DensityOperator) -> Spectrum:
 
 def shannon_entropy(p) -> float:
     """Entropy in bits of a probability vector, with 0*log(0) = 0."""
-    p = _finite(np.asarray(p, dtype=float), "probability", EIG_CLIP_TOL)
+    p = _finite(_floats(p, "probability"), "probability", EIG_CLIP_TOL)
     total = float(p.sum())
     if abs(total - 1.0) > 1e-6:
         raise MalformedOperatorError(f"probabilities sum to {total}, not 1")
@@ -383,8 +386,7 @@ def _as_descending(s) -> np.ndarray:
         return s.eigenvalues
     if isinstance(s, DensityOperator):
         return eigendecompose(s).eigenvalues
-    arr = np.asarray(s, dtype=float)
-    return np.sort(arr)[::-1]
+    return np.sort(_floats(s, "eigenvalue"))[::-1]
 
 
 def top_k_sum(s, k: int) -> float:
@@ -418,7 +420,7 @@ def top_k_projector(s: Spectrum, k: int) -> Projection:
         return Projection(qubits=s.qubits, matrix=_readonly((p + p.conj().T) / 2))
     if s.basis_labels is None:
         raise MalformedOperatorError("spectrum has neither eigenvectors nor labels")
-    return Projection.from_basis(s.qubits, s.basis_labels[:k])
+    return Projection.from_factors([(s.qubits, s.basis_labels[:k])])
 
 
 def projection_weight(d: DensityOperator, g: Projection) -> float:
@@ -473,7 +475,7 @@ def matrix_to_json(d: DensityOperator) -> dict:
 
 def matrix_from_json(obj: dict) -> DensityOperator:
     if obj["repr"] == "diag":
-        return DensityOperator.diagonal(np.asarray(obj["data"], dtype=float))
+        return DensityOperator.diagonal(obj["data"])
     data = np.asarray(obj["data"], dtype=float)
     return validate_density(data[..., 0] + 1j * data[..., 1], 1e-8)
 

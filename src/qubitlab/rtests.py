@@ -35,6 +35,7 @@ from .linalg import (
     top_k_projector,
     von_neumann_entropy,
     _finite,
+    _floats,
     _product_weight,
 )
 from .states import StateSequence, block_checkpoint, block_state
@@ -91,7 +92,12 @@ class STest:
 
     s: float
     seq: ProjectionSequence
-    weight_partial_sums: tuple[float, ...] = ()
+
+    @property
+    def weight_partial_sums(self) -> tuple[float, ...]:
+        """Cumulative rank * 2^(-n_m s) over the terms."""
+        weights = [t.projector.rank * 2.0 ** (-t.qubits * self.s) for t in self.seq.terms]
+        return tuple(np.cumsum(weights).tolist())
 
 
 @dataclass(frozen=True)
@@ -207,7 +213,7 @@ def evaluate_failure(
     ``satisfied_evidence`` (minimum weight at most delta) for a null
     condition.
     """
-    delta = float(_finite(np.asarray(delta, dtype=float), "delta"))
+    delta = float(_finite(_floats(delta, "delta"), "delta"))
     if depth < 0:
         raise BadDimensionError(f"depth {depth} is below 0")
     ms, weights = [], []
@@ -365,10 +371,7 @@ def build_s_test(
         return expo > 0 and rank**s.denominator < (1 << expo)
 
     out = _scan(state, delta, terms, depth_cap, rank_at, certified, "weight bound violated")
-    seq = out.test.seq
-    weights = [term.projector.rank * 2.0 ** (-term.qubits * float(s)) for term in seq.terms]
-    test = STest(s=float(s), seq=seq, weight_partial_sums=tuple(np.cumsum(weights).tolist()))
-    return replace(out, test=test)
+    return replace(out, test=STest(s=float(s), seq=out.test.seq))
 
 
 def build_ui_test(

@@ -99,12 +99,9 @@ def projection_to_json(g: Projection) -> dict:
 
 def projection_from_json(obj: dict) -> Projection:
     kind = obj["kind"]
-    if kind == "basis":
-        return Projection.from_basis(obj["qubits"], obj["indices"])
-    if kind == "product":
-        return Projection.from_factors(
-            [(f["qubits"], f["indices"]) for f in obj["factors"]]
-        )
+    if kind in ("basis", "product"):  # a basis subset is the one-block product
+        blocks = [obj] if kind == "basis" else obj["factors"]
+        return Projection.from_factors([(f["qubits"], f["indices"]) for f in blocks])
     if kind == "dense":
         data = np.asarray(obj["matrix"], dtype=float)
         return Projection.from_matrix(data[..., 0] + 1j * data[..., 1])
@@ -152,10 +149,11 @@ def projection_test_from_json(obj: dict):
             raise ValueError(f"unsupported certificate type {cert!r} for a qs test")
         return QSTest(seq=seq)
     if kind == "s":
-        cert = obj.get("certificate", {})
-        return STest(
-            s=float(obj["s"]), seq=seq, weight_partial_sums=tuple(cert.get("values", ()))
-        )
+        test = STest(s=float(obj["s"]), seq=seq)
+        stated = obj.get("certificate", {}).get("values")
+        if stated is not None and tuple(stated) != test.weight_partial_sums:
+            raise ValueError("stated weight partial sums disagree with the terms")
+        return test
     if kind == "null":
         return NullCondition(seq=seq)
     raise ValueError(f"unknown test kind {kind!r}")

@@ -683,6 +683,8 @@ class DensitySpec:
 
     def cylinder_masses(self, depth: int) -> np.ndarray:
         """Masses of the 2^depth dyadic cylinders, left to right."""
+        if depth < 0:
+            raise BadDimensionError(f"depth {depth} is below 0")
         if depth > DIAG_QUBIT_CAP:
             raise DimensionCapError(f"depth {depth} exceeds diagonal cap")
         xs = np.linspace(0.0, 1.0, (1 << depth) + 1)
@@ -752,7 +754,7 @@ def _log_power_top_k(p: float) -> Callable[[int, int], float]:
     the cell masses fall and then rise (the cell holding the minimum is no
     heavier than both neighbours), and the k heaviest cells are the first
     j plus the last k - j, of mass F(j/2^n) + 1 - F(1 - (k-j)/2^n).  The
-    split j is searched comparing the logs of 2^n times the cell masses.
+    split j is bisected for, comparing the logs of 2^n times the cell masses.
     For cell i = [a, a + w) with u = 1 - ln a that is
     q ln u + ln(i expm1(t)) - ln a, t = q log1p(-log1p(1/i) / u): every
     term keeps its relative precision, and from i = 2^60 on, i expm1(t) is
@@ -766,21 +768,11 @@ def _log_power_top_k(p: float) -> Callable[[int, int], float]:
     in the first step, where the split can lie only for p > 11.36.  Up to
     62 qubits the grid is the cells themselves and every index is an exact
     integer.
-
-    The search starts at twice the split of (n-1, k/2), which is where a
-    builder's climbing scan makes its next query, and stops at a tie.  The
-    start moves where a tie stops it, so a query asked after (n-1, k/2) can
-    differ in its last bits from the same query asked first, within
-    `TOP_K_ERROR`; two queries asked first agree bit for bit.
     """
     q = 1.0 - p
     valley = math.exp(q)
     # floor(e^q 2^n) for the valley cell, in integers
     valley_num, valley_den = valley.as_integer_ratio()
-    # (n, k on the grid) -> split on the grid, the starting guess for (n+1, 2k)
-    # in a builder's scan; a guess, a racing thread's too, moves only the tie
-    # the search stops at, so it keeps a result within TOP_K_ERROR
-    splits: dict[tuple[int, int], int] = {}
 
     def cell(x: int, frac: float, g: int, s: int) -> tuple[float | None, float]:
         """ln a and the log of 2^n times the mass of the cell [a, a + 2^-n) at grid point x + frac."""
@@ -841,32 +833,16 @@ def _log_power_top_k(p: float) -> Callable[[int, int], float]:
             xr, fr = (size - kx + x, f) if f >= 0.0 else (size - kx + x - 1, frac + kc)
             return cell(x, frac, g, s), cell(xr, fr, g, s)
 
-        # gallop from the guess while the split stays on one side, then bisect
-        shift = 0 if s else 1
-        guess = splits.pop((n - 1, kx >> shift), None)
-        j = lo if guess is None else min(max(lo, guess << shift), hi)
-        step, way, at = 1, 0, None
         while lo < hi:
             # the split lies above j when the next left cell outweighs the last right one
-            if j == end:
-                d = -1.0
-            else:
-                at, ((ln_left, left), (ln_right, right)) = j, logs(j)
-                d = left - right
-            if abs(d) <= _TIE:
+            j = (lo + hi) // 2
+            (_, left), (_, right) = logs(j)
+            if abs(left - right) <= _TIE:
                 break
-            sign = 1 if d > 0 else -1
-            lo, hi = (j + 1, hi) if sign > 0 else (lo, j)
-            if way in (0, sign):
-                way, j, step = sign, min(max(j + sign * step, lo), hi), 2 * step
-            else:
-                way, j = 2, (lo + hi) // 2
+            lo, hi = (j + 1, hi) if left > right else (lo, j)
         else:
             j = lo
-        if len(splits) < 1 << 12:
-            splits[(n, kx)] = j
-        if at != j:
-            (ln_left, _), (ln_right, _) = logs(j)
+        (ln_left, _), (ln_right, _) = logs(j)
         head = math.exp(q * math.log1p(-ln_left)) if ln_left is not None else 0.0
         return head - math.expm1(q * math.log1p(-ln_right))
 

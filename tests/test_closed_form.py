@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qubitlab as q
 from qubitlab.cli import EXIT_VALIDATION, main
@@ -27,19 +29,40 @@ from conftest import log_power_top_k_oracle
 PS = (1.5, 2, 2.5, 3, 10)
 
 
-def test_a_split_guess_moves_a_top_k_mass_only_within_its_error_bound():
-    # asking (n-1, k/2) first seeds the split search of (n, k), which may then
-    # stop at another point of a tie: at p = 2, n = 48 and k = 2^46 the two
-    # answers differ in the last bit; two first queries agree bit for bit
+def test_a_top_k_mass_does_not_depend_on_an_earlier_query():
+    # a builder's climbing scan asks (n-1, k/2) just before (n, k); at p = 2,
+    # n = 48 and k = 2^46 the split search meets a tie, and the answer's last
+    # bit hangs on where the search stops
     for p in (1.5, 2, 3):
         for n in range(44, 57):
             for k in ((1 << (n - 2)) - 1, 1 << (n - 2), (1 << (n - 3)) + 1):
                 fresh = q.measure_state(q.log_power_density(p), n).top_k_mass(n, k)
-                again = q.measure_state(q.log_power_density(p), n).top_k_mass(n, k)
                 warm = q.measure_state(q.log_power_density(p), n)
                 warm.top_k_mass(n - 1, k >> 1)
-                assert again == fresh, (p, n, k)
-                assert abs(warm.top_k_mass(n, k) - fresh) <= TOP_K_ERROR, (p, n, k)
+                assert warm.top_k_mass(n, k) == fresh, (p, n, k)
+
+
+DEEP = (9_999, 10_000, 10_001, 495_679, 495_680)
+
+
+@st.composite
+def query_orders(draw):
+    """Queries (n, k) with k near 2^(n-m), each with (n-1, k/2) beside it, in a drawn order."""
+    queries = []
+    for n in draw(st.lists(st.integers(2, 70) | st.sampled_from(DEEP), min_size=1, max_size=6)):
+        m = draw(st.integers(0, min(n - 1, 12)))
+        k = min(max((1 << (n - m)) + draw(st.integers(-1, 1)), 1), 1 << n)
+        queries += [(n, k), (n - 1, max(k >> 1, 1))]
+    return draw(st.permutations(queries))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((1.5, 2, 3, 10)), query_orders())
+def test_a_top_k_mass_is_the_same_in_any_query_order(p, queries):
+    shared = q.measure_state(q.log_power_density(p), CLOSED_FORM_QUBIT_CAP)
+    for n, k in queries:
+        fresh = q.measure_state(q.log_power_density(p), n).top_k_mass(n, k)
+        assert shared.top_k_mass(n, k) == fresh, (p, n, k)
 
 
 @pytest.mark.parametrize("p", PS)
@@ -259,7 +282,7 @@ def test_builder_past_the_cap_is_refused_before_any_level_is_decomposed():
 
 
 def test_concurrent_queries_share_one_state():
-    # the split memo behind the search is shared by every thread using the state
+    # every thread gets the fresh answers bit for bit, however the queries interleave
     queries = [(n, m) for m in (1, 3, 6) for n in range(m, 301)]
     expected = [q.measure_state(q.log_power_density(3), 300).top_k_mass(n, 1 << (n - m))
                 for n, m in queries]
@@ -281,7 +304,7 @@ def test_concurrent_queries_share_one_state():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads) and len(results) == 6
     for got in results.values():
-        assert all(abs(got[nm] - e) <= TOP_K_ERROR for nm, e in zip(queries, expected))
+        assert got == dict(zip(queries, expected))
 
 
 def test_prefix_integral_rejects_bad_orders_and_depths():

@@ -147,7 +147,7 @@ def test_dense_blocks_refuse_diagonal_ones_and_the_diagonal_paths():
 def test_state_weight_skips_the_diagonal_path_for_dense_blocks_up_front():
     factor = random_density_oracle(np.random.default_rng(16), 2)
     state = q.tensor_power_state(factor, 6)
-    g = q.Projection.from_basis(5, [0, 3, 17])
+    g = q.Projection.from_factors([(5, [0, 3, 17])])
     assert q.state_weight(state, 5, g) == q.projection_weight(state.density(5), g)
     blocks = q.Projection.from_factors([(2, [1]), (3, [0, 5])])
     assert q.state_weight(state, 5, blocks) == q.projection_weight(state.density(5), blocks)

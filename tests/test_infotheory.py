@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 import tracemalloc
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import qubitlab as q
+from qubitlab.infotheory import UIEntry
 from qubitlab.linalg import DimensionCapError
 
 from conftest import (
@@ -290,6 +292,12 @@ def test_ui_profile_pure_never_integrable():
     fam = q.step_family(q.pure_bitstring_state(q.prng_bits(20, 2), 20), 20)
     profile = q.ui_profile(fam, [0.9, 0.5, 0.1], 20)
     assert all(entry.modulus is None for entry in profile.entries)
+
+
+def test_a_ui_entry_reads_its_epsilon_off_its_modulus():
+    assert [f.name for f in dataclasses.fields(UIEntry)] == ["delta", "modulus"]
+    assert UIEntry(0.5, 3).epsilon == 0.125
+    assert UIEntry(0.5, None).epsilon is None
 
 
 def test_ui_profile_measure_state_matches_closed_form():

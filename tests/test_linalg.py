@@ -203,7 +203,7 @@ def test_projection_weight_identity_and_uniform(rng):
     d = random_density_oracle(rng, 2)
     assert q.projection_weight(d, q.Projection.identity(2)) == pytest.approx(1.0, abs=1e-12)
     half = q.DensityOperator.diagonal(np.array([0.5, 0.5]))
-    assert q.projection_weight(half, q.Projection.from_basis(1, [0])) == pytest.approx(0.5)
+    assert q.projection_weight(half, q.Projection.from_factors([(1, [0])])) == pytest.approx(0.5)
 
 
 def test_projection_weight_matches_top_k(rng):
@@ -238,7 +238,7 @@ def test_projection_bound_randomized(rng):
 
 def test_tau_weight_values():
     assert q.tau_weight(q.Projection.identity(3)) == 1.0
-    assert q.tau_weight(q.Projection.from_basis(1, [0])) == 0.5
+    assert q.tau_weight(q.Projection.from_factors([(1, [0])])) == 0.5
     factored = q.Projection.from_factors([(2, [0, 1]), (3, [0])])
     assert factored.rank == 2
     assert q.tau_weight(factored) == 2 / 32
@@ -284,7 +284,7 @@ def test_factored_projection_expansion_matches_weight(rng):
     # row-major flat positions of the np.ix_ sub-array: the one-block index set
     mask = np.zeros((4, 8), dtype=bool)
     mask[np.ix_([0, 3], [1, 2, 5])] = True
-    expanded = q.Projection.from_basis(5, np.flatnonzero(mask))
+    expanded = q.Projection.from_factors([(5, np.flatnonzero(mask))])
     assert direct == q.projection_weight(d, expanded)
     assert g.rank == expanded.rank == 6
     for _ in range(50):
@@ -300,8 +300,8 @@ def test_factored_projection_expansion_matches_weight(rng):
         assert q.projection_weight(q.DensityOperator.diagonal(diag), g) == want
         mask = np.zeros([1 << c for c in cuts], dtype=bool)
         mask[np.ix_(*blocks)] = True
-        assert q.projection_weight(
-            q.DensityOperator.diagonal(diag), q.Projection.from_basis(n, np.flatnonzero(mask))) == want
+        expanded = q.Projection.from_factors([(n, np.flatnonzero(mask))])
+        assert q.projection_weight(q.DensityOperator.diagonal(diag), expanded) == want
 
 
 # --- validation ----------------------------------------------------------------

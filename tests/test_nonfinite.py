@@ -112,7 +112,7 @@ def test_projection_indices_reject_non_finite_and_fractional(bad, at):
     indices = [0.0, 1.0, 2.0, 3.0]
     indices[at] = bad
     with pytest.raises(MalformedOperatorError):
-        q.Projection.from_basis(2, indices)
+        q.Projection.from_factors([(2, indices)])
     with pytest.raises(MalformedOperatorError):
         q.Projection.from_factors([(1, [0]), (2, indices)])
     with pytest.raises(MalformedOperatorError):
@@ -224,7 +224,7 @@ def _diag(qubits: int) -> q.DensityOperator:
 
 
 #: one qubit, basis state |0>
-_ZERO = q.Projection.from_basis(1, [0])
+_ZERO = q.Projection.from_factors([(1, [0])])
 _SKEWED = q.DensityOperator.diagonal(np.array([0.9, 0.1]))
 
 #: refusals that no other test reaches: (call, error, message fragment)
@@ -313,7 +313,61 @@ REFUSALS = {
     "ui-profile-no-deltas": (
         lambda: q.ui_profile(q.step_family(q.tracial_state(2), 2), [], 2),
         ValueError, "empty delta grid"),
+    "complex-diagonal": (
+        lambda: q.DensityOperator.diagonal(np.array([0.5 + 0.5j, 0.5 - 0.5j])),
+        MalformedOperatorError, "complex probability"),
+    "complex-factors": (
+        lambda: q.StateSequence("c", 3, factors=[np.array([0.5 + 0.3j, 0.5])] * 3).entropy(3),
+        MalformedOperatorError, "complex probability"),
+    "complex-shannon": (
+        lambda: q.shannon_entropy([0.5 + 1j, 0.5]), MalformedOperatorError, "complex probability"),
+    "complex-descending": (
+        lambda: infotheory.two_block_average([0.5 + 1e-3j, 0.5], 1),
+        MalformedOperatorError, "complex probability"),
+    "complex-dominance": (
+        lambda: q.uniformity_dominance([0.5, 0.5], [0.5j, 0.5]),
+        MalformedOperatorError, "complex probability"),
+    "complex-delta": (
+        lambda: q.evaluate_failure(q.tracial_state(4), q.block_test_sequence(1), 0.5 + 0.1j, 1),
+        MalformedOperatorError, "complex delta"),
+    "complex-top-k-sum": (
+        lambda: q.top_k_sum([0.5, 0.5j], 1), MalformedOperatorError, "complex eigenvalue"),
+    "complex-basis-index": (
+        lambda: q.Projection.from_factors([(1, [1j])]), MalformedOperatorError, "complex basis"),
+    "product-block-no-index": (
+        lambda: q.Projection.from_factors([(2, [])]),
+        BadDimensionError, "a product block needs a basis index or more"),
+    "product-one-block-0-qubits": (
+        lambda: q.Projection.from_factors([(0, [0])]),
+        BadDimensionError, "a product block needs a qubit or more, got 0"),
+    "product-no-block": (
+        lambda: q.Projection.from_factors([]), BadDimensionError, "a product needs a block"),
+    "identity-0-qubits": (
+        lambda: q.Projection.identity(0), BadDimensionError, "a product needs a block"),
+    "entropy-gap-depth-0": (
+        lambda: q.entropy_gap(q.log_power_density(2), 0), BadDimensionError, "depth 0 is below 1"),
+    "entropy-gap-depth-negative": (
+        lambda: q.entropy_gap(q.log_power_density(2), -2),
+        BadDimensionError, "depth -2 is below 1"),
+    "entropy-gap-curve-depth-0": (
+        lambda: q.entropy_gap_curve(q.log_power_density(2), 0),
+        BadDimensionError, "depth 0 is below 1"),
+    "entropy-gap-curve-start-0": (
+        lambda: q.entropy_gap_curve(q.log_power_density(2), 3, start=0),
+        BadDimensionError, "depth 0 is below 1"),
+    "entropy-gap-curve-past-start": (
+        lambda: q.entropy_gap_curve(q.log_power_density(2), 3, start=5),
+        BadDimensionError, "depth 3 is below 5"),
+    "cylinder-masses-depth-negative": (
+        lambda: q.log_power_density(2).cylinder_masses(-1),
+        BadDimensionError, "depth -1 is below 0"),
 }
+
+
+def test_a_complex_vector_with_no_imaginary_part_is_accepted():
+    p = np.array([0.25 + 0j, 0.75 - 0j])
+    assert q.DensityOperator.diagonal(p).probs.tolist() == [0.25, 0.75]
+    assert q.shannon_entropy(p) == q.shannon_entropy([0.25, 0.75])
 
 
 @pytest.mark.parametrize("call, error, fragment", REFUSALS.values(), ids=REFUSALS)

@@ -130,7 +130,7 @@ def test_validate_qstest_block_sequence():
 
 def test_validate_qstest_flags_violation():
     # rank-1 projector on 2 qubits has tau 1/4 > 2^-3
-    term = q.TestTerm(m=3, projector=q.Projection.from_basis(2, [0]))
+    term = q.TestTerm(m=3, projector=q.Projection.from_factors([(2, [0])]))
     test = q.QSTest(seq=q.ProjectionSequence(terms=(term,)))
     report = q.validate_qstest(test, 3)
     assert not report.valid
@@ -179,7 +179,7 @@ def test_evaluate_failure_pure_prefix_projectors():
     bits = "0110100110"
     z = q.pure_bitstring_state(bits, 10)
     terms = tuple(
-        q.TestTerm(m=m, projector=q.Projection.from_basis(m + 2, [int(bits[: m + 2], 2)]))
+        q.TestTerm(m=m, projector=q.Projection.from_factors([(m + 2, [int(bits[: m + 2], 2)])]))
         for m in range(1, 6)
     )
     test = q.QSTest(seq=q.ProjectionSequence(terms=terms))
@@ -200,11 +200,11 @@ def test_state_weight_refuses_a_block_past_the_diagonal_cap_at_once():
     state = q.tracial_state(25)
     start = time.perf_counter()
     with pytest.raises(DimensionCapError, match="25-qubit block"):
-        q.state_weight(state, 25, q.Projection.from_basis(25, [0]))
+        q.state_weight(state, 25, q.Projection.from_factors([(25, [0])]))
     assert time.perf_counter() - start < 1.0
     assert not state._cache
     shallow = q.tracial_state(20)
-    assert q.state_weight(shallow, 20, q.Projection.from_basis(20, [0, 7])) == 2.0**-19
+    assert q.state_weight(shallow, 20, q.Projection.from_factors([(20, [0, 7])])) == 2.0**-19
     assert not shallow._cache
 
 
@@ -421,7 +421,7 @@ def test_null_condition_trend_geometric_vs_constant():
     geo = q.block_test_sequence(8).as_null_condition()
     assert q.null_condition_trend(geo, 8).halved
     const_terms = tuple(
-        q.TestTerm(m=m, projector=q.Projection.from_basis(2, [0, 1]))
+        q.TestTerm(m=m, projector=q.Projection.from_factors([(2, [0, 1])]))
         for m in range(1, 7)
     )
     flat = q.NullCondition(seq=q.ProjectionSequence(terms=const_terms))

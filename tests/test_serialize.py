@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -165,7 +167,7 @@ def test_per_level_dump_repr_says_whether_every_level_is_diagonal(rng):
 
 
 def test_projection_roundtrips(rng):
-    basis = q.Projection.from_basis(3, [0, 5])
+    basis = q.Projection.from_factors([(3, [0, 5])])
     assert projection_from_json(projection_to_json(basis)) == basis
     product = q.Projection.from_factors([(2, [0, 1]), (2, [3])])
     back = projection_from_json(projection_to_json(product))
@@ -174,8 +176,9 @@ def test_projection_roundtrips(rng):
     dense = q.top_k_projector(q.eigendecompose(d), 2)
     assert projection_from_json(projection_to_json(dense)) == dense  # JSON floats round-trip exactly
     # the stored layout is part of the value, and a stored form never equals another form
-    assert basis != product and dense != q.Projection.from_basis(2, [0, 1])
-    assert q.Projection.from_basis(2, [0, 1]) != q.Projection.from_factors([(1, [0]), (1, [0, 1])])
+    assert basis != product and dense != q.Projection.from_factors([(2, [0, 1])])
+    assert q.Projection.from_factors([(2, [0, 1])]) != \
+        q.Projection.from_factors([(1, [0]), (1, [0, 1])])
     # a file that writes a one-block product as "product" loads to its basis form
     one_block = {"qubits": 3, "kind": "product", "factors": [{"qubits": 3, "indices": [5, 0]}]}
     assert projection_from_json(one_block) == basis
@@ -218,6 +221,21 @@ def test_s_test_roundtrip():
     assert all(set(t) == {"m", "n_m", "projector"} for t in obj["terms"])
     back = projection_test_from_json(obj)
     assert back.weight_partial_sums == out.test.weight_partial_sums
+
+
+def test_s_test_partial_sums_are_derived_and_checked_on_load():
+    z = q.pure_bitstring_state(q.prng_bits(24, 11), 24)
+    test = q.build_s_test(z, "1/2", "1/10", "1/2", 4, 24).test
+    assert [f.name for f in dataclasses.fields(test)] == ["s", "seq"]
+    weights = [t.projector.rank * 2.0 ** (-t.qubits * 0.5) for t in test.seq.terms]
+    assert len(weights) == 4 and test.weight_partial_sums == tuple(np.cumsum(weights).tolist())
+    obj = projection_test_to_json(test)
+    assert obj["certificate"]["values"] == list(test.weight_partial_sums)
+    obj["certificate"]["values"][-1] += 2.0**-40
+    with pytest.raises(ValueError, match="partial sums disagree"):
+        projection_test_from_json(obj)
+    del obj["certificate"]["values"]
+    assert projection_test_from_json(obj).weight_partial_sums == test.weight_partial_sums
 
 
 def test_null_condition_roundtrip():

@@ -224,7 +224,7 @@ def test_tensor_power_dense_cap_at_construction():
     assert q.tracial_state(13).level_cap == 24 and raw.level_cap == 12
     for state in (q.tensor_power_state(base, 13), raw):
         assert state.entropy(13) == 13.0 and state.top_k_mass(13, 1 << 12) == 0.5
-        g = q.Projection.from_basis(13, [0, 5])
+        g = q.Projection.from_factors([(13, [0, 5])])
         for query in (state.density, state.eigensystem, state.spectrum,
                       lambda n: q.state_weight(state, n, g)):
             with pytest.raises(DimensionCapError, match="dense cap 12"):
